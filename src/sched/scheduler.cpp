@@ -343,7 +343,7 @@ class FairScheduler final : public SchedulerBase {
     rr_cursor_ = r.u32();
     tenants_.clear();
     pending_ = 0;
-    const std::uint64_t ntenants = r.checked_count(4 + 4 * 8 + 8);
+    const std::uint64_t ntenants = r.checked_count(4 + 3 * 8 + 8);
     for (std::uint64_t i = 0; i < ntenants; ++i) {
       const sim::TenantId tenant = r.u32();
       TenantState& t = tenants_[tenant];

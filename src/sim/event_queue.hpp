@@ -20,8 +20,8 @@
 // every iteration.
 //
 // The previous 4-ary binary-heap implementation is preserved verbatim as
-// sim::HeapEventQueue (heap_event_queue.hpp) and drives the randomized
-// differential test that pins the two pop orders together.
+// sim::HeapEventQueue (tests/sim/heap_event_queue.hpp) and drives the
+// randomized differential test that pins the two pop orders together.
 #pragma once
 
 #include <algorithm>

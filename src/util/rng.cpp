@@ -120,7 +120,21 @@ ZipfGenerator::ZipfGenerator(std::uint64_t n, double theta)
     : n_(n), theta_(theta) {
   assert(n > 0);
   assert(theta >= 0.0 && theta < 1.0);
-  zetan_ = zeta(n, theta);
+  // zeta(n, theta) is an O(n) sum of pow terms, and callers such as fleet
+  // epochs rebuild generators with the same key over and over. Each thread
+  // keeps its last key's sum: the same loop gives the same double, so a hit
+  // is bit-identical to recomputing. n == 0 is never a valid key.
+  thread_local struct {
+    std::uint64_t n = 0;
+    double theta = 0.0;
+    double zetan = 0.0;
+  } memo;
+  if (memo.n != n || memo.theta != theta) {
+    memo.zetan = zeta(n, theta);
+    memo.n = n;
+    memo.theta = theta;
+  }
+  zetan_ = memo.zetan;
   const double zeta2 = zeta(2, theta);
   alpha_ = 1.0 / (1.0 - theta);
   eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /

@@ -73,7 +73,9 @@ class Rng {
 
 /// Zipfian integer distribution over [0, n) with skew theta in [0, 1).
 /// theta = 0 degenerates to uniform. Uses the Gray et al. rejection-free
-/// computation with cached zeta constants; O(1) per sample.
+/// computation with cached zeta constants; O(1) per sample. Construction
+/// sums n terms the first time a thread sees (n, theta) and reuses that
+/// sum while the thread keeps building generators with the same key.
 class ZipfGenerator {
  public:
   ZipfGenerator(std::uint64_t n, double theta);

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "sim/event_queue.hpp"
-#include "sim/heap_event_queue.hpp"
+#include "heap_event_queue.hpp"
 #include "util/rng.hpp"
 
 namespace ssdk::sim {

@@ -23,6 +23,7 @@
 #include "snapshot/archive.hpp"
 #include "telemetry/binary_trace.hpp"
 #include "telemetry/tracer.hpp"
+#include "trace/catalog.hpp"
 
 namespace ssdk {
 namespace {
@@ -185,6 +186,46 @@ TEST(DeviceSnapshot, PowerModelSurvivesRoundTrip) {
   EXPECT_EQ(power.cut_at_time, 0u);
   EXPECT_EQ(power.cut_at_arrival, recipe.requests.size() - 1);
   EXPECT_TRUE(power.auto_recover);
+}
+
+// Regression: the fair scheduler's loader sized each tenant record at 44
+// bytes in its plausibility check, but a record with an empty queue is 36
+// (u32 id, three u64 counters, u64 queue length). A drained WFQ device,
+// whose SCHD section holds only such records, failed to load with
+// "implausible element count".
+TEST(DeviceSnapshot, DrainedWfqDeviceRoundTrips) {
+  ssd::SsdOptions options;
+  options.sched.policy = sched::Policy::kWfq;
+  options.sched.max_outstanding_requests = 8;
+  options.sched.shares.push_back({.tenant = 0, .weight = 4});
+  options.sched.shares.push_back({.tenant = 1, .weight = 1});
+  const auto first_batch = trace::build_mix(1, 0.1, 400);
+  ssd::Ssd device(options);
+  device.submit(first_batch);
+  device.run_to_completion();
+  ASSERT_EQ(device.scheduler().pending(), 0u);
+
+  const std::vector<char> first = snapshot::save_device(device);
+  auto restored = snapshot::load_device(first);
+  EXPECT_EQ(snapshot::save_device(*restored), first);
+
+  // The restored device continues exactly like a fork of the original.
+  auto forked = device.fork();
+  std::vector<sim::IoRequest> second_batch = trace::build_mix(2, 0.1, 400);
+  for (sim::IoRequest& r : second_batch) {
+    r.id += first_batch.size();
+    r.arrival += device.now();
+  }
+  telemetry::Tracer trace_f, trace_r;
+  forked->set_tracer(&trace_f);
+  restored->set_tracer(&trace_r);
+  forked->submit(second_batch);
+  restored->submit(second_batch);
+  forked->run_to_completion();
+  restored->run_to_completion();
+  EXPECT_EQ(telemetry::first_divergence(trace_f.events(), trace_r.events()),
+            telemetry::kNoDivergence);
+  EXPECT_EQ(snapshot::save_device(*forked), snapshot::save_device(*restored));
 }
 
 TEST(DeviceSnapshotFile, RoundTripAndCorruptionDetection) {

@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <set>
+#include <thread>
 #include <vector>
+
+#include "util/thread_pool.hpp"
 
 namespace ssdk {
 namespace {
@@ -177,6 +181,57 @@ TEST(Zipf, AlwaysInRange) {
   Rng rng(47);
   ZipfGenerator zipf(17, 0.5);
   for (int i = 0; i < 10000; ++i) ASSERT_LT(zipf(rng), 17u);
+}
+
+// The per-thread normalization memo must be invisible: a generator built
+// after other keys on a busy thread draws exactly like one built as the
+// first generator on a fresh thread. Neighbouring keys share n or theta,
+// so a memo keyed on only one of them fails here.
+struct ZipfKey {
+  std::uint64_t n;
+  double theta;
+};
+constexpr ZipfKey kInterleavedKeys[] = {
+    {65536, 0.2}, {32768, 0.35}, {32768, 0.2}, {65536, 0.2}};
+
+std::vector<std::uint64_t> zipf_draws(const ZipfGenerator& zipf) {
+  Rng rng(53);
+  std::vector<std::uint64_t> out(4096);
+  for (auto& x : out) x = zipf(rng);
+  return out;
+}
+
+std::vector<std::uint64_t> draws_on_fresh_thread(const ZipfKey& key) {
+  std::vector<std::uint64_t> out;
+  std::thread([&] { out = zipf_draws(ZipfGenerator(key.n, key.theta)); })
+      .join();
+  return out;
+}
+
+TEST(Zipf, MemoizedNormalizationMatchesFreshThread) {
+  for (const ZipfKey& key : kInterleavedKeys) {
+    EXPECT_EQ(zipf_draws(ZipfGenerator(key.n, key.theta)),
+              draws_on_fresh_thread(key))
+        << "n " << key.n << " theta " << key.theta;
+  }
+}
+
+TEST(Zipf, MemoizedNormalizationMatchesOnPoolWorkers) {
+  std::vector<std::vector<std::uint64_t>> reference;
+  for (const ZipfKey& key : kInterleavedKeys) {
+    reference.push_back(draws_on_fresh_thread(key));
+  }
+  ThreadPool pool(3);
+  const std::size_t keys = std::size(kInterleavedKeys);
+  // Several rounds of every key, so each worker meets keys in an order
+  // that depends on scheduling.
+  const auto draws = parallel_map(pool, 4 * keys, [&](std::size_t i) {
+    const ZipfKey& key = kInterleavedKeys[i % keys];
+    return zipf_draws(ZipfGenerator(key.n, key.theta));
+  });
+  for (std::size_t i = 0; i < draws.size(); ++i) {
+    EXPECT_EQ(draws[i], reference[i % keys]) << "task " << i;
+  }
 }
 
 }  // namespace
