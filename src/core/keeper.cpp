@@ -37,35 +37,13 @@ std::uint32_t SsdKeeper::measure_best(
     const ssd::Ssd& device, std::span<const std::uint32_t> candidates,
     std::span<const TenantProfile> profiles) {
   what_if_.clear();
-  // Latency accumulated so far; each fork's score is the *suffix* average
-  // (what the candidate strategy can still influence), not the whole-run
-  // average the prefix already fixed. aggregate_sums reads the running
-  // sums in O(tenants) instead of copying every latency sample.
-  const sim::LatencySums before = device.metrics().aggregate_sums();
-
   const std::size_t n = candidates.size();
-  std::vector<double> scores(n, std::numeric_limits<double>::infinity());
+  std::vector<double> scores(n);
   const auto trial = [&](std::size_t i) {
-    auto forked = device.fork();
-    configure_ssd(*forked, allocator_.space().at(candidates[i]), profiles,
-                  config_.hybrid_page_allocation);
-    try {
-      forked->run_to_completion();
-      const sim::LatencySums after = forked->metrics().aggregate_sums();
-      const double reads = static_cast<double>(after.reads - before.reads);
-      const double writes =
-          static_cast<double>(after.writes - before.writes);
-      const double suffix_read =
-          reads > 0.0 ? (after.read_sum_us - before.read_sum_us) / reads
-                      : 0.0;
-      const double suffix_write =
-          writes > 0.0
-              ? (after.write_sum_us - before.write_sum_us) / writes
-              : 0.0;
-      scores[i] = suffix_read + suffix_write;
-    } catch (const ftl::DeviceFullError&) {
-      // A candidate that fills the device scores worst; keep infinity.
-    }
+    scores[i] = score_fork_trial(device, [&](ssd::Ssd& forked) {
+      configure_ssd(forked, allocator_.space().at(candidates[i]), profiles,
+                    config_.hybrid_page_allocation);
+    });
   };
   if (config_.what_if_pool != nullptr && n > 1) {
     parallel_for(*config_.what_if_pool, n, trial);

@@ -1,10 +1,8 @@
 #include "fleet/migration.hpp"
 
 #include <algorithm>
-#include <limits>
 
-#include "ftl/ftl.hpp"
-#include "sim/metrics.hpp"
+#include "core/runner.hpp"
 
 namespace ssdk::fleet {
 
@@ -38,35 +36,8 @@ std::vector<bool> detect_hot_devices(
 double score_placement(const ssd::Ssd& device,
                        std::span<const sim::IoRequest> trial) {
   if (trial.empty()) return 0.0;
-  // Same scoring discipline as SsdKeeper::measure_best: the fork inherits
-  // the parent's completed history, so the candidate is judged on the
-  // *suffix* latency the trial adds, not on history it cannot change.
-  const sim::TenantMetrics before = device.metrics().aggregate();
-  const double read_sum0 = before.read_latency_us.sum();
-  const double write_sum0 = before.write_latency_us.sum();
-  const double read_n0 =
-      static_cast<double>(before.read_latency_us.count());
-  const double write_n0 =
-      static_cast<double>(before.write_latency_us.count());
-
-  auto forked = device.fork();
-  try {
-    forked->submit(trial);
-    forked->run_to_completion();
-  } catch (const ftl::DeviceFullError&) {
-    return std::numeric_limits<double>::infinity();
-  }
-  const sim::TenantMetrics after = forked->metrics().aggregate();
-  const double reads =
-      static_cast<double>(after.read_latency_us.count()) - read_n0;
-  const double writes =
-      static_cast<double>(after.write_latency_us.count()) - write_n0;
-  const double suffix_read =
-      reads > 0.0 ? (after.read_latency_us.sum() - read_sum0) / reads : 0.0;
-  const double suffix_write =
-      writes > 0.0 ? (after.write_latency_us.sum() - write_sum0) / writes
-                   : 0.0;
-  return suffix_read + suffix_write;
+  return core::score_fork_trial(
+      device, [trial](ssd::Ssd& forked) { forked.submit(trial); });
 }
 
 }  // namespace ssdk::fleet

@@ -9,7 +9,6 @@
 #include <cassert>
 #include <cstdint>
 #include <limits>
-#include <utility>
 #include <vector>
 
 #include "sim/geometry.hpp"
@@ -36,32 +35,6 @@ class LoadView {
  protected:
   ~LoadView() = default;
 };
-
-/// Adapter wrapping two callables (lambdas in tests and benches) into a
-/// LoadView without type erasure.
-template <typename ChannelFn, typename ChipFn>
-class CallableLoadView final : public LoadView {
- public:
-  CallableLoadView(ChannelFn channel, ChipFn chip)
-      : channel_(std::move(channel)), chip_(std::move(chip)) {}
-
-  Duration channel_backlog(std::uint32_t channel) const override {
-    return channel_(channel);
-  }
-  Duration chip_backlog(std::uint32_t global_chip) const override {
-    return chip_(global_chip);
-  }
-
- private:
-  ChannelFn channel_;
-  ChipFn chip_;
-};
-
-template <typename ChannelFn, typename ChipFn>
-CallableLoadView<ChannelFn, ChipFn> make_load_view(ChannelFn channel,
-                                                   ChipFn chip) {
-  return {std::move(channel), std::move(chip)};
-}
 
 /// Target of a placement decision: a plane (block/page are chosen by the
 /// block manager's append point).

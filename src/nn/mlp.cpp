@@ -53,10 +53,6 @@ const Matrix& Mlp::forward_inference(const Matrix& input,
   return *x;
 }
 
-const Matrix& Mlp::forward_inference(const Matrix& input) {
-  return forward_inference(input, infer_scratch_);
-}
-
 void Mlp::backward(const Matrix& dlogits) {
   const Matrix* grad = &dlogits;
   bool pre_activation = true;  // fused softmax+CE gives d loss / d z directly
@@ -92,8 +88,9 @@ std::vector<std::uint32_t> Mlp::predict(const Matrix& input,
   return out;
 }
 
-std::vector<std::uint32_t> Mlp::predict(const Matrix& input) {
-  return std::as_const(*this).predict(input, infer_scratch_);
+std::vector<std::uint32_t> Mlp::predict(const Matrix& input) const {
+  InferenceScratch scratch;
+  return predict(input, scratch);
 }
 
 Matrix Mlp::predict_proba(const Matrix& input,
@@ -102,10 +99,6 @@ Matrix Mlp::predict_proba(const Matrix& input,
   Matrix probs;
   softmax_rows(logits, probs);
   return probs;
-}
-
-Matrix Mlp::predict_proba(const Matrix& input) {
-  return std::as_const(*this).predict_proba(input, infer_scratch_);
 }
 
 std::size_t Mlp::parameter_count() const {

@@ -51,14 +51,11 @@ class Mlp {
   /// scratch matrices, touching no layer caches and allocating nothing
   /// after the first call at a given batch size. Logits are bit-identical
   /// to forward() (same kernels, same order), and any batch partitioning
-  /// yields the same rows because rows are independent. The const
-  /// overload writes only into `scratch`, so one model may serve
-  /// concurrent callers as long as each brings its own scratch.
+  /// yields the same rows because rows are independent. It writes only
+  /// into `scratch`, so one model may serve concurrent callers as long as
+  /// each brings its own scratch.
   const Matrix& forward_inference(const Matrix& input,
                                   InferenceScratch& scratch) const;
-  /// Convenience overload using the Mlp's internal scratch — single-owner
-  /// use only (training/eval loops); not safe on a shared model.
-  const Matrix& forward_inference(const Matrix& input);
 
   /// Backprop of the fused-softmax gradient (d loss / d logits).
   void backward(const Matrix& dlogits);
@@ -69,14 +66,14 @@ class Mlp {
   double train_loss_and_grad(const Matrix& input,
                              const std::vector<std::uint32_t>& labels);
 
-  /// Argmax class per row.
+  /// Argmax class per row. The scratch-less overload allocates its own
+  /// scratch per call (evaluation loops, the generic learner interface).
   std::vector<std::uint32_t> predict(const Matrix& input,
                                      InferenceScratch& scratch) const;
-  std::vector<std::uint32_t> predict(const Matrix& input);
+  std::vector<std::uint32_t> predict(const Matrix& input) const;
 
   /// Class probabilities (softmax of logits).
   Matrix predict_proba(const Matrix& input, InferenceScratch& scratch) const;
-  Matrix predict_proba(const Matrix& input);
 
   /// Total parameters; the paper's storage-overhead estimate is 16 bytes
   /// per neuron, ours is exact: 8 bytes per parameter.
@@ -88,8 +85,7 @@ class Mlp {
 
  private:
   std::vector<DenseLayer> layers_;
-  Matrix logits_grad_;             // training scratch
-  InferenceScratch infer_scratch_; // convenience-overload inference scratch
+  Matrix logits_grad_;  // training scratch
 };
 
 }  // namespace ssdk::nn

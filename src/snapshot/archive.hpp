@@ -228,8 +228,9 @@ class StateReader {
 inline constexpr char kSnapshotMagic[8] = {'S', 'S', 'D', 'K',
                                            'S', 'N', 'P', '1'};
 // Version 2: OPTS carries the power model; campaign samples carry
-// per-strategy objective scores.
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+// per-strategy objective scores. Version 3: the device's CHNL and UNIT
+// sections drop the derived queued-write count and front-write seq.
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 enum class PayloadKind : std::uint32_t {
   kDevice = 1,    ///< full SSD device state

@@ -30,7 +30,7 @@ Ssd::Ssd(SsdOptions options)
       units_(options_.multiplane_program
                  ? options_.geometry.total_planes()
                  : options_.geometry.total_chips()),
-      grant_seq_(units_.size(), ~std::uint64_t{0}),
+      grant_seq_(units_.size(), kNoGrant),
       channel_busy_ns_(options_.geometry.channels, 0),
       unit_busy_ns_(units_.size(), 0),
       gc_job_of_plane_(options_.geometry.total_planes(), kNoJob),
@@ -154,48 +154,6 @@ void Ssd::submit(const sim::IoRequest& request) {
 
 void Ssd::run_to_completion() { run_until_arrival(kNoRequest); }
 
-#ifdef SSDK_LOOP_STATS
-// Opt-in rdtsc accounting of the replay loop (-DSSDK_LOOP_STATS, x86 only).
-// Sampling profilers under-sample this workload badly in containerized
-// runs; these counters are the ground truth behind the DESIGN.md §16
-// cycle budgets. Printed once from a static destructor at process exit.
-#include <x86intrin.h>
-
-#include <cstdio>
-namespace {
-struct LoopStats {
-  std::uint64_t arrivals = 0, arrival_cyc = 0;
-  std::uint64_t pops = 0, pop_cyc = 0;
-  std::uint64_t kinds[5] = {}, kind_cyc[5] = {};
-  std::uint64_t wr_pages = 0, wr_buf_cyc = 0, wr_alloc_cyc = 0,
-                wr_disp_cyc = 0, wr_gc_cyc = 0;
-  ~LoopStats() {
-    if (wr_pages) {
-      std::fprintf(stderr,
-                   "LOOP wr_pages %llu buf %.0f alloc %.0f disp %.0f gc %.0f "
-                   "cyc/page\n",
-                   (unsigned long long)wr_pages, (double)wr_buf_cyc / wr_pages,
-                   (double)wr_alloc_cyc / wr_pages,
-                   (double)wr_disp_cyc / wr_pages, (double)wr_gc_cyc / wr_pages);
-    }
-    std::fprintf(stderr, "LOOP arrivals %llu cyc/ea %.0f\n",
-                 (unsigned long long)arrivals,
-                 arrivals ? (double)arrival_cyc / arrivals : 0.0);
-    std::fprintf(stderr, "LOOP pops %llu cyc/ea %.0f\n",
-                 (unsigned long long)pops, pops ? (double)pop_cyc / pops : 0.0);
-    const char* names[5] = {"Arrival", "FlashDone", "BusFree", "BufferDone",
-                            "WriteDone"};
-    for (int i = 0; i < 5; ++i)
-      std::fprintf(stderr, "LOOP %s %llu cyc/ea %.0f total Mcyc %.1f\n",
-                   names[i], (unsigned long long)kinds[i],
-                   kinds[i] ? (double)kind_cyc[i] / kinds[i] : 0.0,
-                   kind_cyc[i] / 1e6);
-  }
-};
-LoopStats g_loop_stats;
-}  // namespace
-#endif
-
 void Ssd::run_until_arrival(std::uint64_t request_index) {
   if (powered_off_) {
     throw std::logic_error(
@@ -224,25 +182,10 @@ void Ssd::run_until_arrival(std::uint64_t request_index) {
       // at or after it has — the exact cut a fork or snapshot wants.
       if (arrival_cursor_ >= request_index) return;
       now_ = std::max(now_, requests_[arrival_cursor_].req.arrival);
-#ifdef SSDK_LOOP_STATS
-      const std::uint64_t t0 = __rdtsc();
-#endif
       handle_arrival(arrival_cursor_++);
-#ifdef SSDK_LOOP_STATS
-      ++g_loop_stats.arrivals;
-      g_loop_stats.arrival_cyc += __rdtsc() - t0;
-#endif
       maybe_audit();
     } else {
-#ifdef SSDK_LOOP_STATS
-      const std::uint64_t p0 = __rdtsc();
-#endif
       const sim::Event e = events_.pop();
-#ifdef SSDK_LOOP_STATS
-      const std::uint64_t p1 = __rdtsc();
-      ++g_loop_stats.pops;
-      g_loop_stats.pop_cyc += p1 - p0;
-#endif
       now_ = e.time;
       switch (e.kind) {
         case EventKind::kArrival:
@@ -260,15 +203,10 @@ void Ssd::run_until_arrival(std::uint64_t request_index) {
           break;
         case EventKind::kWriteDone:
           // Exactly the old BusFree(kNoOp)-then-FlashDone pair, back to
-          // back; see try_grant_write.
+          // back; see grant_write.
           handle_write_done(e.a, e.b);
           break;
       }
-#ifdef SSDK_LOOP_STATS
-      const int k = static_cast<int>(e.kind);
-      ++g_loop_stats.kinds[k];
-      g_loop_stats.kind_cyc[k] += __rdtsc() - p1;
-#endif
     }
   }
 }
@@ -388,10 +326,6 @@ void Ssd::admit_request(std::uint64_t request_index) {
       op.addr = options_.geometry.decode(op.ppn);
       dispatch_read(op_id);
     } else {
-#ifdef SSDK_LOOP_STATS
-      ++g_loop_stats.wr_pages;
-      const std::uint64_t w0 = __rdtsc();
-#endif
       if (buffer_write(rs.req.tenant, lpn)) {
         free_op(op_id);
         // Acked at DRAM latency without touching flash: the completion
@@ -416,29 +350,14 @@ void Ssd::admit_request(std::uint64_t request_index) {
       }
       op.kind = OpKind::kHostWrite;
       op.lpn = lpn;
-#ifdef SSDK_LOOP_STATS
-      const std::uint64_t w1 = __rdtsc();
-      g_loop_stats.wr_buf_cyc += w1 - w0;
-#endif
       op.ppn = ftl_.allocate_write(rs.req.tenant, lpn, load_view_);
       op.addr = options_.geometry.decode(op.ppn);
       // The OOB seq is drawn in L2P-update order (here, at placement) but
       // recorded on flash only when the program completes — the window in
       // between is exactly what a power cut tears.
       if (ftl_.oob().enabled()) op.oob_seq = ftl_.oob().fresh_seq();
-#ifdef SSDK_LOOP_STATS
-      const std::uint64_t w2 = __rdtsc();
-      g_loop_stats.wr_alloc_cyc += w2 - w1;
-#endif
       dispatch_write(op_id);
-#ifdef SSDK_LOOP_STATS
-      const std::uint64_t w3 = __rdtsc();
-      g_loop_stats.wr_disp_cyc += w3 - w2;
-#endif
       maybe_start_gc(options_.geometry.plane_id(op.addr));
-#ifdef SSDK_LOOP_STATS
-      g_loop_stats.wr_gc_cyc += __rdtsc() - w3;
-#endif
     }
   }
 }
@@ -607,11 +526,7 @@ void Ssd::dispatch_write(std::uint64_t op_id) {
   }
   UnitState& u = units_[unit];
   u.write_q.push_back(op_id);
-  if (u.write_q.size() == 1) {
-    u.front_write_seq = op.enq_seq;
-    if (!u.busy) grant_seq_[unit] = op.enq_seq;
-  }
-  ++channels_[op.addr.channel].queued_writes;
+  if (u.write_q.size() == 1 && !u.busy) grant_seq_[unit] = op.enq_seq;
   arbitrate(op.addr.channel);
 }
 
@@ -638,7 +553,7 @@ void Ssd::start_array_read(std::uint64_t unit, std::uint64_t op_id) {
   UnitState& u = units_[unit];
   assert(!u.busy);
   u.busy = true;
-  grant_seq_[unit] = ~std::uint64_t{0};
+  grant_seq_[unit] = kNoGrant;
   u.busy_until = now_ + options_.timing.read_ns;
   metrics_.counters().chip_busy_ns += options_.timing.read_ns;
   unit_busy_ns_[unit] += options_.timing.read_ns;
@@ -654,7 +569,7 @@ void Ssd::start_erase(std::uint64_t unit, std::uint64_t op_id) {
   UnitState& u = units_[unit];
   assert(!u.busy);
   u.busy = true;
-  grant_seq_[unit] = ~std::uint64_t{0};
+  grant_seq_[unit] = kNoGrant;
   u.busy_until = now_ + options_.timing.erase_ns;
   metrics_.counters().chip_busy_ns += options_.timing.erase_ns;
   unit_busy_ns_[unit] += options_.timing.erase_ns;
@@ -681,53 +596,31 @@ bool Ssd::unit_next(std::uint64_t unit) {
   return true;
 }
 
-bool Ssd::write_grantable(std::uint32_t channel) const {
-  if (channels_[channel].queued_writes == 0) return false;
-  const std::uint64_t base = first_unit(channel);
-  const std::uint64_t count = units_per_channel();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    // grant_seq_ is all-ones exactly when the unit is busy or has no
-    // queued write — a single dense load replaces the UnitState probe.
-    if (grant_seq_[base + i] != ~std::uint64_t{0}) return true;
-  }
-  return false;
-}
-
 void Ssd::arbitrate(std::uint32_t channel) {
   ChannelState& ch = channels_[channel];
   if (ch.bus_busy) return;
   const bool read_ready = !ch.read_q.empty();
-  if (options_.read_priority) {
-    // Reads preempt writes unconditionally, so the write queues only
-    // matter when no read is ready — and try_grant_write performs that
-    // scan itself (returning false with no side effects when nothing is
-    // grantable). Skipping the write_grantable pre-scan here halves the
-    // arbitration cost on the default configuration.
-    if (read_ready) {
-      grant_read_transfer(channel);
-    } else if (ch.queued_writes != 0) {
-      try_grant_write(channel);
-    }
+  // Under read priority a ready read wins outright, so the write scan is
+  // skipped entirely.
+  if (read_ready && options_.read_priority) {
+    grant_read_transfer(channel);
     return;
   }
-
-  const bool write_ready = write_grantable(channel);
-  if (!read_ready && !write_ready) return;
-
-  bool grant_read;
-  if (read_ready && write_ready) {
+  const std::uint64_t write_unit = oldest_grantable_write(channel);
+  if (write_unit == kNoGrant) {
+    if (read_ready) grant_read_transfer(channel);
+    return;
+  }
+  if (read_ready) {
     // Fair mode: alternate between classes when both are ready.
-    grant_read = ch.rr_toggle;
+    const bool grant_read = ch.rr_toggle;
     ch.rr_toggle = !ch.rr_toggle;
-  } else {
-    grant_read = read_ready;
+    if (grant_read) {
+      grant_read_transfer(channel);
+      return;
+    }
   }
-
-  if (grant_read) {
-    grant_read_transfer(channel);
-  } else {
-    try_grant_write(channel);
-  }
+  grant_write(channel, write_unit);
 }
 
 void Ssd::grant_read_transfer(std::uint32_t channel) {
@@ -753,36 +646,30 @@ void Ssd::grant_read_transfer(std::uint32_t channel) {
   events_.push(ch.bus_free_at, EventKind::kBusFree, channel, op_id);
 }
 
-bool Ssd::try_grant_write(std::uint32_t channel) {
-  ChannelState& ch = channels_[channel];
-  assert(!ch.bus_busy);
-  if (ch.queued_writes == 0) return false;
+std::uint64_t Ssd::oldest_grantable_write(std::uint32_t channel) const {
+  // grant_seq_ is kNoGrant for busy units and empty queues, so they lose
+  // every comparison without touching their UnitState at all — the scan
+  // reads one dense cache line per channel.
   const std::uint64_t base = first_unit(channel);
-  const std::uint64_t count = units_per_channel();
-
-  // Oldest queued write among units that are currently free. grant_seq_
-  // is all-ones for busy units and empty queues, so they lose every
-  // comparison without touching their UnitState at all — the scan reads
-  // one dense cache line per channel.
-  std::uint64_t best_unit = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t best_seq = std::numeric_limits<std::uint64_t>::max();
-  for (std::uint64_t i = 0; i < count; ++i) {
+  std::uint64_t best_unit = kNoGrant;
+  std::uint64_t best_seq = kNoGrant;
+  for (std::uint64_t i = 0; i < units_per_channel(); ++i) {
     const std::uint64_t s = grant_seq_[base + i];
     if (s < best_seq) {
       best_seq = s;
       best_unit = base + i;
     }
   }
-  if (best_unit == std::numeric_limits<std::uint64_t>::max()) return false;
+  return best_unit;
+}
 
-  UnitState& u = units_[best_unit];
+void Ssd::grant_write(std::uint32_t channel, std::uint64_t unit) {
+  ChannelState& ch = channels_[channel];
+  assert(!ch.bus_busy);
+  UnitState& u = units_[unit];
   const std::uint64_t op_id = u.write_q.front();
   u.write_q.pop_front();
-  u.front_write_seq = u.write_q.empty()
-                          ? ~std::uint64_t{0}
-                          : ops_[u.write_q.front()].enq_seq;
-  grant_seq_[best_unit] = ~std::uint64_t{0};  // the unit goes busy below
-  --ch.queued_writes;
+  grant_seq_[unit] = kNoGrant;  // the unit goes busy below
   metrics_.counters().write_wait_ns += now_ - ops_[op_id].dispatched_at;
   ++metrics_.counters().write_ops_started;
 
@@ -815,11 +702,10 @@ bool Ssd::try_grant_write(std::uint32_t channel) {
   u.busy = true;
   u.busy_until = now_ + service;
   metrics_.counters().chip_busy_ns += service;
-  unit_busy_ns_[best_unit] += service;
+  unit_busy_ns_[unit] += service;
   events_.push(u.busy_until,
                pipelined ? EventKind::kFlashDone : EventKind::kWriteDone,
-               best_unit, op_id);
-  return true;
+               unit, op_id);
 }
 
 // --- event handlers -------------------------------------------------------------
@@ -845,7 +731,7 @@ void Ssd::handle_flash_done(std::uint64_t unit, std::uint64_t op_id) {
     case OpKind::kFlushWrite:
     case OpKind::kGcWrite: {
       units_[unit].busy = false;
-      grant_seq_[unit] = units_[unit].front_write_seq;
+      grant_seq_[unit] = grant_key(unit);
       bool fault = false;
       bool program_failed = false;
       if (faults_on_) {
@@ -876,7 +762,7 @@ void Ssd::handle_flash_done(std::uint64_t unit, std::uint64_t op_id) {
     }
     case OpKind::kErase:
       units_[unit].busy = false;
-      grant_seq_[unit] = units_[unit].front_write_seq;
+      grant_seq_[unit] = grant_key(unit);
       on_erase_done(op_id);
       unit_next(unit);
       break;
@@ -891,7 +777,7 @@ void Ssd::handle_bus_free(std::uint32_t channel, std::uint64_t op_id) {
     PageOp& op = ops_[op_id];
     const std::uint64_t unit = unit_of(op.addr);
     units_[unit].busy = false;
-    grant_seq_[unit] = units_[unit].front_write_seq;
+    grant_seq_[unit] = grant_key(unit);
     // The unit lives on `channel`, so when unit_next falls through to
     // arbitration it already covers this channel — arbitrating again
     // would re-scan the queues only to no-op.
@@ -991,7 +877,7 @@ void Ssd::start_read_retry(std::uint64_t unit, std::uint64_t op_id) {
   UnitState& u = units_[unit];
   assert(!u.busy);
   u.busy = true;
-  grant_seq_[unit] = ~std::uint64_t{0};
+  grant_seq_[unit] = kNoGrant;
   u.busy_until = now_ + sense;
   metrics_.counters().chip_busy_ns += sense;
   unit_busy_ns_[unit] += sense;

@@ -278,10 +278,10 @@ class Ssd {
   /// Audit the full device against its structural invariants: L2P
   /// bijection and block bookkeeping (via the FTL), event-queue order and
   /// time monotonicity, op-slab free-list integrity, op-queue membership,
-  /// per-channel queued-write counters, cached front-write seqs, busy
-  /// deadlines vs. the clock, write-buffer key/FIFO consistency, and GC
-  /// job registration. Throws util::InvariantViolation on the first
-  /// breach. O(device state); call at event boundaries only.
+  /// the cached write-grant keys, busy deadlines vs. the clock,
+  /// write-buffer key/FIFO consistency, and GC job registration. Throws
+  /// util::InvariantViolation on the first breach. O(device state); call
+  /// at event boundaries only.
   void check_invariants() const;
 
   /// Run check_invariants() automatically every `interval` handled
@@ -335,21 +335,11 @@ class Ssd {
     SimTime bus_free_at = 0;
     OpQueue read_q;          ///< ops ready for read-out transfer
     bool rr_toggle = false;  ///< fairness state when !read_priority
-    /// Writes queued across this channel's units; lets arbitration skip
-    /// the per-unit scan when no write is waiting at all.
-    std::uint32_t queued_writes = 0;
   };
 
   /// One flash execution unit: a chip (default) or a plane (multiplane).
   struct UnitState {
-    // `busy` and `front_write_seq` lead the struct deliberately: the
-    // write-arbitration scan reads only these two, so keeping them on the
-    // struct's first cache line makes the scan one line per unit.
     bool busy = false;
-    /// enq_seq of write_q.front(), cached at push/pop so the oldest-write
-    /// arbitration scan never touches the op slab. All-ones when empty
-    /// (sorts after every real seq).
-    std::uint64_t front_write_seq = ~std::uint64_t{0};
     SimTime busy_until = 0;
     OpQueue read_wait;   ///< array reads awaiting the unit
     OpQueue erase_wait;  ///< erases awaiting the unit
@@ -390,6 +380,8 @@ class Ssd {
 
   static constexpr std::uint64_t kNoRequest = ~std::uint64_t{0};
   static constexpr std::uint32_t kNoJob = ~std::uint32_t{0};
+  /// Grant key of a unit that cannot take a write; sorts after every seq.
+  static constexpr std::uint64_t kNoGrant = ~std::uint64_t{0};
 
   // Op slab management.
   std::uint64_t alloc_op();
@@ -479,10 +471,18 @@ class Ssd {
   bool unit_next(std::uint64_t unit);
   void arbitrate(std::uint32_t channel);
   void grant_read_transfer(std::uint32_t channel);
-  /// Grant the oldest queued write on this channel whose unit is free.
-  bool try_grant_write(std::uint32_t channel);
-  /// Is any write currently grantable on this channel?
-  bool write_grantable(std::uint32_t channel) const;
+  /// Unit holding the oldest grantable write on this channel (free unit,
+  /// non-empty write queue), or kNoGrant when no write can be granted.
+  std::uint64_t oldest_grantable_write(std::uint32_t channel) const;
+  /// Start the front write of `unit`, which oldest_grantable_write chose.
+  void grant_write(std::uint32_t channel, std::uint64_t unit);
+  /// The write-grant key grant_seq_ caches for `unit`: the enq_seq of its
+  /// oldest queued write when the unit is free, kNoGrant otherwise.
+  std::uint64_t grant_key(std::uint64_t unit) const {
+    const UnitState& u = units_[unit];
+    return u.busy || u.write_q.empty() ? kNoGrant
+                                       : ops_[u.write_q.front()].enq_seq;
+  }
 
   // Completions.
   void finish_host_op(std::uint64_t op_id);
@@ -577,13 +577,12 @@ class Ssd {
 
   std::vector<ChannelState> channels_;
   std::vector<UnitState> units_;
-  /// Per-unit write-grant key: front_write_seq when the unit is free with
-  /// a queued write, all-ones otherwise. The arbitration argmin scans only
-  /// this dense array — one cache line per channel instead of one
-  /// UnitState line per unit — and selects exactly the unit the
-  /// (busy, front_write_seq) pair would. Maintained at every busy-flag and
-  /// write-queue transition; audited against both in check_invariants.
-  // ssdk-snap: skip(grant_seq_): derived arbitration cache, recomputed from the unit states on load and audited by check_invariants
+  /// Per-unit write-grant key, grant_key(unit) cached densely: the
+  /// arbitration argmin scans this array — one cache line per channel —
+  /// without touching UnitState or the op slab. Maintained at every
+  /// busy-flag and write-queue-front transition; audited against
+  /// grant_key in check_invariants.
+  // ssdk-snap: skip(grant_seq_): derived arbitration cache, recomputed from the unit states and op slab on load and audited by check_invariants
   std::vector<std::uint64_t> grant_seq_;
   std::vector<Duration> channel_busy_ns_;
   std::vector<Duration> unit_busy_ns_;

@@ -3,9 +3,9 @@
 // Everything here is read-only and runs only when a caller asks for an
 // audit — explicitly, after a snapshot load / fork in checked builds, or
 // on the periodic cadence set via set_audit_interval(). The checks target
-// the redundant state the hot path maintains for speed (cached counters,
-// cached front seqs, free lists, FIFO mirrors): exactly the bookkeeping a
-// subtle scheduling bug corrupts first.
+// the redundant state the hot path maintains for speed (the cached grant
+// keys, free lists, FIFO mirrors): exactly the bookkeeping a subtle
+// scheduling bug corrupts first.
 #include <algorithm>
 #include <cstdint>
 #include <string>
@@ -145,20 +145,9 @@ void Ssd::check_invariants() const {
     check_queue(units_[u].write_q, "unit write_q", u);
   }
 
-  // --- cached arbitration state vs. the queues it mirrors ------------------
+  // --- busy deadlines and the cached write-grant keys ----------------------
   for (std::size_t c = 0; c < channels_.size(); ++c) {
     const ChannelState& ch = channels_[c];
-    std::uint64_t writes = 0;
-    for (std::uint64_t u = first_unit(static_cast<std::uint32_t>(c));
-         u < first_unit(static_cast<std::uint32_t>(c)) + units_per_channel_;
-         ++u) {
-      writes += units_[u].write_q.size();
-    }
-    SSDK_CHECK_MSG(ch.queued_writes == writes,
-                   "ssd: channel " + std::to_string(c) +
-                       " queued_writes cache " +
-                       std::to_string(ch.queued_writes) + " != actual " +
-                       std::to_string(writes));
     SSDK_CHECK_MSG(!ch.bus_busy || ch.bus_free_at >= now_,
                    "ssd: channel " + std::to_string(c) +
                        " bus busy with release time " +
@@ -167,21 +156,11 @@ void Ssd::check_invariants() const {
   }
   for (std::size_t u = 0; u < units_.size(); ++u) {
     const UnitState& unit = units_[u];
-    const std::uint64_t expect =
-        unit.write_q.empty() ? ~std::uint64_t{0}
-                             : ops_[unit.write_q.front()].enq_seq;
-    SSDK_CHECK_MSG(unit.front_write_seq == expect,
-                   "ssd: unit " + std::to_string(u) +
-                       " front_write_seq cache " +
-                       std::to_string(unit.front_write_seq) + " != actual " +
-                       std::to_string(expect));
-    const std::uint64_t expect_grant =
-        unit.busy ? ~std::uint64_t{0} : unit.front_write_seq;
-    SSDK_CHECK_MSG(grant_seq_[u] == expect_grant,
+    SSDK_CHECK_MSG(grant_seq_[u] == grant_key(u),
                    "ssd: unit " + std::to_string(u) + " grant_seq cache " +
                        std::to_string(grant_seq_[u]) + " != expected " +
-                       std::to_string(expect_grant) +
-                       " from (busy, front_write_seq)");
+                       std::to_string(grant_key(u)) +
+                       " from (busy, write_q front)");
     // A past busy_until is legal only while the unit's read op is parked
     // in the channel read_q (page register held, waiting for the bus).
     SSDK_CHECK_MSG(!unit.busy || unit.busy_until >= now_ ||

@@ -121,17 +121,15 @@ PowerLossReport Ssd::power_off() {
     ch.bus_free_at = 0;
     ch.read_q.clear();
     ch.rr_toggle = false;
-    ch.queued_writes = 0;
   }
   for (UnitState& u : units_) {
     u.busy = false;
     u.busy_until = 0;
-    u.front_write_seq = ~std::uint64_t{0};
     u.read_wait.clear();
     u.erase_wait.clear();
     u.write_q.clear();
   }
-  std::fill(grant_seq_.begin(), grant_seq_.end(), ~std::uint64_t{0});
+  std::fill(grant_seq_.begin(), grant_seq_.end(), kNoGrant);
   ops_.clear();
   free_ops_.clear();
   gc_jobs_.clear();

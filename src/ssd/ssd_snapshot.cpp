@@ -65,7 +65,6 @@ void Ssd::save_state(snapshot::StateWriter& w) const {
     w.u64(c.bus_free_at);
     save_ring(w, c.read_q);
     w.boolean(c.rr_toggle);
-    w.u32(c.queued_writes);
   }
 
   // Flash execution units.
@@ -73,7 +72,6 @@ void Ssd::save_state(snapshot::StateWriter& w) const {
   w.u64(units_.size());
   for (const UnitState& u : units_) {
     w.boolean(u.busy);
-    w.u64(u.front_write_seq);
     w.u64(u.busy_until);
     save_ring(w, u.read_wait);
     save_ring(w, u.erase_wait);
@@ -204,7 +202,6 @@ void Ssd::load_state(snapshot::StateReader& r) {
     c.bus_free_at = r.u64();
     load_ring(r, c.read_q);
     c.rr_toggle = r.boolean();
-    c.queued_writes = r.u32();
   }
 
   r.tag("UNIT");
@@ -217,17 +214,12 @@ void Ssd::load_state(snapshot::StateReader& r) {
             std::to_string(nunit),
         r.offset());
   }
-  for (std::size_t i = 0; i < units_.size(); ++i) {
-    UnitState& u = units_[i];
+  for (UnitState& u : units_) {
     u.busy = r.boolean();
-    u.front_write_seq = r.u64();
     u.busy_until = r.u64();
     load_ring(r, u.read_wait);
     load_ring(r, u.erase_wait);
     load_ring(r, u.write_q);
-    // grant_seq_ is derived state, not wire format: rebuild it from the
-    // (busy, front_write_seq) pair it mirrors.
-    grant_seq_[i] = u.busy ? ~std::uint64_t{0} : u.front_write_seq;
   }
   channel_busy_ns_ = r.vec_u64();
   unit_busy_ns_ = r.vec_u64();
@@ -275,6 +267,20 @@ void Ssd::load_state(snapshot::StateReader& r) {
   }
   free_ops_ = r.vec_u64();
   next_enq_seq_ = r.u64();
+  // grant_seq_ is derived state, not wire format: rebuild it from each
+  // unit's busy flag and front write, which must name a slab slot.
+  for (std::size_t i = 0; i < units_.size(); ++i) {
+    const OpQueue& q = units_[i].write_q;
+    if (!q.empty() && q.front() >= ops_.size()) {
+      throw snapshot::SnapshotError(
+          "snapshot: unit " + std::to_string(i) + " write queue names op " +
+              std::to_string(q.front()) + " outside the " +
+              std::to_string(ops_.size()) + "-entry op slab at offset " +
+              std::to_string(r.offset()),
+          r.offset());
+    }
+    grant_seq_[i] = grant_key(i);
+  }
 
   r.tag("GCJB");
   const std::uint64_t njobs = r.checked_count(8 + 4 + 4 + 1 + 1 + 1);

@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "load_view_helper.hpp"
+
 namespace ssdk::ftl {
 namespace {
 

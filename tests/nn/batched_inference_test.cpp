@@ -47,11 +47,12 @@ TEST(BatchedInference, MatmulIntoMatchesMatmulAcrossShapes) {
 TEST(BatchedInference, ForwardInferenceMatchesTrainingForward) {
   Rng rng(7);
   Mlp model({9, 64, 42}, Activation::kReLU, 99);
+  InferenceScratch scratch;
   for (const std::size_t batch : {1u, 2u, 4u, 5u, 16u, 33u}) {
     const Matrix x = random_matrix(batch, 9, rng);
     Mlp reference = model;  // keep `model`'s caches out of the comparison
     const Matrix& trained = reference.forward(x);
-    const Matrix& inferred = model.forward_inference(x);
+    const Matrix& inferred = model.forward_inference(x, scratch);
     ASSERT_EQ(inferred.rows(), trained.rows());
     ASSERT_EQ(inferred.cols(), trained.cols());
     EXPECT_EQ(inferred.raw(), trained.raw()) << "batch " << batch;
@@ -92,8 +93,9 @@ TEST(BatchedInference, InferenceDoesNotPerturbTrainingGradients) {
   // must be what the clean model computes, bit for bit.
   interleaved.zero_grad();
   const Matrix probe = random_matrix(29, 9, rng);
-  (void)interleaved.forward_inference(probe);
-  (void)interleaved.predict(probe);
+  InferenceScratch scratch;
+  (void)interleaved.forward_inference(probe, scratch);
+  (void)interleaved.predict(probe, scratch);
   const double loss = interleaved.train_loss_and_grad(x, labels);
 
   EXPECT_EQ(loss, clean_loss);

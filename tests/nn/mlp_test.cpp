@@ -60,7 +60,8 @@ TEST(Mlp, PredictReturnsArgmax) {
 TEST(Mlp, PredictProbaRowsSumToOne) {
   Mlp model({3, 4, 5}, Activation::kLogistic, 7);
   const Matrix x(6, 3, 0.2);
-  const Matrix p = model.predict_proba(x);
+  InferenceScratch scratch;
+  const Matrix p = model.predict_proba(x, scratch);
   for (std::size_t r = 0; r < p.rows(); ++r) {
     double sum = 0.0;
     for (std::size_t c = 0; c < p.cols(); ++c) sum += p(r, c);

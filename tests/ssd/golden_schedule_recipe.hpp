@@ -82,11 +82,41 @@ inline GoldenRecipe golden_gc_churn() {
   return r;
 }
 
+/// Scenario D: write-heavy three-tenant stream on the multiplane device
+/// with held-bus (non-pipelined) writes and the round-robin arbiter.
+/// Every plane is an execution unit, so each channel's write-grant argmin
+/// runs over eight keys, and writes queue behind planes busy with reads.
+inline GoldenRecipe golden_multiplane_writes() {
+  GoldenRecipe r;
+  r.name = "golden_multiplane_writes";
+  std::vector<trace::Workload> workloads;
+  const double write_fractions[] = {0.9, 0.85, 0.4};
+  for (std::uint64_t t = 0; t < 3; ++t) {
+    trace::SyntheticSpec spec;
+    spec.name = "mp_writer_" + std::to_string(t);
+    spec.write_fraction = write_fractions[t];
+    spec.request_count = 500;
+    spec.intensity_rps = 6'000.0;
+    spec.mean_request_pages = 3.0;
+    spec.max_request_pages = 16;
+    spec.address_space_pages = 1 << 14;
+    spec.seed = 11 + t;
+    workloads.push_back(trace::generate_synthetic(spec));
+  }
+  r.requests = trace::mix_workloads(workloads);
+  r.tenants = 3;
+  r.config.ssd.multiplane_program = true;
+  r.config.ssd.pipelined_writes = false;
+  r.config.ssd.read_priority = false;
+  return r;
+}
+
 inline std::vector<GoldenRecipe> all_golden_recipes() {
   std::vector<GoldenRecipe> recipes;
   recipes.push_back(golden_mix1_default());
   recipes.push_back(golden_mix2_buffered());
   recipes.push_back(golden_gc_churn());
+  recipes.push_back(golden_multiplane_writes());
   return recipes;
 }
 

@@ -312,7 +312,7 @@ TEST(SsdInvariants, DetectsDuplicateEventSeq) {
       "duplicate event seq");
 }
 
-// --- op slab and arbitration caches -------------------------------------------
+// --- op slab and write queues ---------------------------------------------------
 
 TEST(SsdInvariants, DetectsOpSlabCorruption) {
   auto device = busy_device();
@@ -331,21 +331,24 @@ TEST(SsdInvariants, DetectsOpSlabCorruption) {
       "op slab in_use flag");
 }
 
-TEST(SsdInvariants, DetectsQueuedWriteCacheDrift) {
+TEST(SsdInvariants, RejectsOutOfRangeWriteQueueOpId) {
   auto device = busy_device();
-  expect_corruption_detected(
-      *device,
-      [](std::vector<char>& bytes) {
-        // CHNL: tag, u64 count, then per channel: bool bus_busy,
-        // u64 bus_free_at, ring (u64 size + entries), bool rr_toggle,
-        // u32 queued_writes. Desync channel 0's cached counter.
-        const std::size_t chnl = find_tag(bytes, "CHNL");
-        const std::size_t ring_size_pos = chnl + 12 + 1 + 8;
-        const std::uint64_t ring_len = read_u64(bytes, ring_size_pos);
-        const std::size_t queued_pos = ring_size_pos + 8 + ring_len * 8 + 1;
-        write_u32(bytes, queued_pos, 0xDEAD);
-      },
-      "queued_writes cache");
+  snapshot::StateWriter w;
+  device->save_state(w);
+  std::vector<char> bytes = w.take();
+  // UNIT: tag, u64 count, then per unit: bool busy, u64 busy_until and
+  // three rings (u64 size + entries): read_wait, erase_wait, write_q.
+  // Point unit 0's front write past the end of the op slab; the load
+  // rebuilds the write-grant keys from that op and must refuse it.
+  std::size_t pos = find_tag(bytes, "UNIT") + 4 + 8 + 1 + 8;
+  for (int ring = 0; ring < 2; ++ring) pos += 8 + read_u64(bytes, pos) * 8;
+  ASSERT_GT(read_u64(bytes, pos), 0u) << "unit 0 has no queued write";
+  const std::uint64_t nops = read_u64(bytes, find_tag(bytes, "OPSL") + 4);
+  write_u64(bytes, pos + 8, nops + 1000);
+
+  Ssd reloaded(tiny_options());
+  snapshot::StateReader r(bytes);
+  EXPECT_THROW(reloaded.load_state(r), snapshot::SnapshotError);
 }
 
 // --- power-loss & OOB serialized state ----------------------------------------

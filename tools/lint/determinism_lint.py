@@ -12,8 +12,9 @@ Rules (ids are what allow() takes):
 
   wall-clock      Real-time clocks: std::chrono::{system,steady,
                   high_resolution}_clock, time(), clock(), gettimeofday,
-                  clock_gettime. Simulation time is `now_`; host time must
-                  never reach a schedule.
+                  clock_gettime, and the timestamp counter (__rdtsc,
+                  __rdtscp, _rdtsc). Simulation time is `now_`; host time
+                  must never reach a schedule.
   unseeded-rng    std::rand/srand and std::random_device. All randomness
                   flows through util::Rng with an explicit seed.
   unordered-iter  Iteration over a std::unordered_{map,set} (range-for or
@@ -77,6 +78,9 @@ SIMPLE_PATTERNS = [
     ("wall-clock",
      re.compile(r"\b(?:gettimeofday|clock_gettime|localtime|gmtime)\s*\("),
      "wall-clock library call"),
+    ("wall-clock",
+     re.compile(r"\b(?:__rdtscp?|_rdtsc)\s*\("),
+     "CPU timestamp-counter read"),
     ("unseeded-rng",
      re.compile(r"(?:\b|::)s?rand\s*\("),
      "C rand()/srand() — use util::Rng with an explicit seed"),
