@@ -22,13 +22,15 @@ constexpr int kSlotDead = -2;
 
 constexpr std::uint32_t kBulkRequestPages = 16;
 
-/// Mutable per-device state owned by run_fleet. Epoch workers touch only
-/// their own entry; the serial consolidation step at epoch boundaries is
-/// the only cross-device reader/writer. The parallel_for barrier between
-/// the two phases is the sole synchronization — owner-partitioned state,
-/// no mutexes, so thread-safety annotations (SSDK_GUARDED_BY) do not
-/// apply here; the 1/4/16-worker fingerprint tests and the TSan preset
-/// are what police this discipline.
+/// Mutable per-device state owned by run_fleet. Construction and epoch
+/// workers touch only their own entry. Between epochs, consolidation's
+/// trial tasks only read device state: each forks a different device (the
+/// source or one distinct candidate). The serial rest of consolidation is
+/// the only cross-device writer. The parallel_for barriers between these
+/// phases are the sole synchronization — owner-partitioned state, no
+/// mutexes, so thread-safety annotations (SSDK_GUARDED_BY) do not apply
+/// here; the 1/4/16-worker fingerprint and migration-record tests and the
+/// TSan preset are what police this discipline.
 struct DeviceState {
   std::unique_ptr<ssd::Ssd> device;
   std::unique_ptr<telemetry::Tracer> tracer;
@@ -70,7 +72,8 @@ std::uint64_t epoch_seed(std::uint64_t fleet_seed, std::uint32_t tenant,
          static_cast<std::uint64_t>(tenant) * 1009ULL + epoch + 1;
 }
 
-void validate(const FleetConfig& config, std::size_t tenant_count) {
+void validate(const FleetConfig& config,
+              std::span<const TenantSpec> tenants) {
   if (config.devices == 0) {
     throw std::invalid_argument("fleet: devices must be > 0");
   }
@@ -84,8 +87,14 @@ void validate(const FleetConfig& config, std::size_t tenant_count) {
   if (config.epoch_ns <= 0) {
     throw std::invalid_argument("fleet: epoch_ns must be > 0");
   }
-  if (tenant_count == 0) {
+  if (tenants.empty()) {
     throw std::invalid_argument("fleet: no tenants");
+  }
+  // Slots store tenant ids and the run indexes specs by them.
+  for (std::size_t i = 0; i < tenants.size(); ++i) {
+    if (tenants[i].id != i) {
+      throw std::invalid_argument("fleet: tenants[i].id must equal i");
+    }
   }
   // Migrations need headroom (a never-used destination slot); placement
   // capacity itself is checked by the policy.
@@ -203,11 +212,13 @@ void run_epoch_on_device(DeviceState& st,
       telemetry::summarize_rollup(telemetry::build_rollup(events, rollup)));
 }
 
-/// Serial consolidation step at the boundary after `epoch`: detect hot
-/// devices, pick victims, score destinations via fork trials, commit the
-/// winning moves. All inputs are merged per-device state in device-id
-/// order, so the decisions are independent of worker scheduling.
-void consolidate(std::vector<DeviceState>& states,
+/// Consolidation step at the boundary after `epoch`: detect hot devices,
+/// pick victims, score destinations via fork trials, commit the winning
+/// moves. Only one victim's trials fan out on the pool; everything else
+/// is serial. All inputs are merged per-device state in device-id order
+/// and trial scores merge by index, so the decisions are independent of
+/// worker scheduling.
+void consolidate(ThreadPool& pool, std::vector<DeviceState>& states,
                  std::vector<TenantState>& tenants,
                  std::span<const TenantSpec> specs,
                  const FleetConfig& config, std::uint32_t epoch,
@@ -264,13 +275,39 @@ void consolidate(std::vector<DeviceState>& states,
     }
     if (candidates.empty()) continue;
 
+    std::vector<std::uint32_t> free_slots;
+    free_slots.reserve(candidates.size());
+    for (const std::uint32_t c : candidates) {
+      std::uint32_t free_slot = kMaxSlots;
+      for (std::uint32_t s = 0; s < config.slots_per_device; ++s) {
+        if (states[c].slot_tenant[s] == kSlotFree) {
+          free_slot = s;
+          break;
+        }
+      }
+      free_slots.push_back(free_slot);
+    }
+
     const auto victim_records =
         epoch_records(vspec, config.seed, next_epoch, config.epoch_ns);
 
-    // "Stay" trial: the source replays its own next epoch unchanged.
-    auto stay_trial = next_epoch_preview(src, specs, config, next_epoch);
-    truncate_trial(stay_trial, config.migration.trial_requests);
-    const double stay_score = score_placement(*src.device, stay_trial);
+    // Trial 0 ("stay"): the source replays its own next epoch unchanged.
+    // Trial i > 0: candidate i-1 replays its next epoch plus the victim's.
+    // Each task forks a different device and writes only its own score.
+    const auto scores =
+        parallel_map(pool, candidates.size() + 1, [&](std::size_t i) {
+          const DeviceState& st = i == 0 ? src : states[candidates[i - 1]];
+          auto trial = next_epoch_preview(st, specs, config, next_epoch);
+          if (i > 0) {
+            auto victim_reqs =
+                records_to_requests(victim_records, free_slots[i - 1]);
+            trial.insert(trial.end(), victim_reqs.begin(), victim_reqs.end());
+            sort_by_arrival(trial);
+          }
+          truncate_trial(trial, config.migration.trial_requests);
+          return score_placement(*st.device, trial);
+        });
+    const double stay_score = scores[0];
 
     MigrationRecord record;
     record.epoch = epoch;
@@ -282,25 +319,13 @@ void consolidate(std::vector<DeviceState>& states,
     std::uint32_t best_device = 0;
     std::uint32_t best_slot = 0;
     double best_score = std::numeric_limits<double>::infinity();
-    for (const std::uint32_t c : candidates) {
-      std::uint32_t free_slot = kMaxSlots;
-      for (std::uint32_t s = 0; s < config.slots_per_device; ++s) {
-        if (states[c].slot_tenant[s] == kSlotFree) {
-          free_slot = s;
-          break;
-        }
-      }
-      auto trial = next_epoch_preview(states[c], specs, config, next_epoch);
-      auto victim_reqs = records_to_requests(victim_records, free_slot);
-      trial.insert(trial.end(), victim_reqs.begin(), victim_reqs.end());
-      sort_by_arrival(trial);
-      truncate_trial(trial, config.migration.trial_requests);
-      const double score = score_placement(*states[c].device, trial);
-      record.trials.push_back({c, score});
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      const double score = scores[i + 1];
+      record.trials.push_back({candidates[i], score});
       if (score < best_score) {
         best_score = score;
-        best_device = c;
-        best_slot = free_slot;
+        best_device = candidates[i];
+        best_slot = free_slots[i];
       }
     }
 
@@ -484,7 +509,7 @@ std::uint64_t FleetResult::fingerprint() const {
 FleetResult run_fleet(const FleetConfig& config,
                       std::span<const TenantSpec> tenants,
                       const PlacementPolicy& policy, ThreadPool& pool) {
-  validate(config, tenants.size());
+  validate(config, tenants);
 
   // Placement input: each tenant's first-epoch traffic, measured by the
   // per-tenant feature extractor (the same signal the keeper's collector
@@ -515,10 +540,10 @@ FleetResult run_fleet(const FleetConfig& config,
       policy.place(loads, config.devices, config.slots_per_device);
 
   // Build the fleet: one device (+ tracer, + optional keeper) per slot of
-  // the device vector, tenants assigned to slots in tenant-id order.
+  // the device vector, each on its own pool task (mostly first touch of
+  // fresh memory); tenants are then assigned to slots in tenant-id order.
   std::vector<DeviceState> states(config.devices);
-  std::vector<TenantState> tenant_states(tenants.size());
-  for (std::uint32_t d = 0; d < config.devices; ++d) {
+  parallel_for(pool, states.size(), [&](std::size_t d) {
     DeviceState& st = states[d];
     ssd::SsdOptions options = config.ssd;
     if (config.faulty_device_stride > 0 &&
@@ -536,7 +561,8 @@ FleetResult run_fleet(const FleetConfig& config,
       st.keeper->attach(*st.device);
     }
     st.slot_tenant.fill(kSlotFree);
-  }
+  });
+  std::vector<TenantState> tenant_states(tenants.size());
   for (std::size_t i = 0; i < tenants.size(); ++i) {
     const std::uint32_t d = placement[i];
     DeviceState& st = states[d];
@@ -570,7 +596,7 @@ FleetResult run_fleet(const FleetConfig& config,
       return 0;
     });
     if (config.migration.enabled && epoch + 1 < config.epochs) {
-      consolidate(states, tenant_states, tenants, config, epoch,
+      consolidate(pool, states, tenant_states, tenants, config, epoch,
                   result.migrations);
     }
   }

@@ -6,10 +6,11 @@
 // advances independently — one deterministic, seeded Ssd (plus optional
 // per-device SSDKeeper) per device, executed as a parallel_map task so
 // results merge in device-id order no matter which worker finishes first.
-// Between epochs the fleet tier runs serially on the merged telemetry:
+// Between epochs the fleet tier decides serially on the merged telemetry:
 // rollup summaries rank devices by heat, hot devices nominate their
 // heaviest writer for migration, and candidate destinations are scored by
-// Ssd::fork() what-if trials before any move commits. Every cross-device
+// Ssd::fork() what-if trials before any move commits. One victim's trials
+// run as pool tasks whose scores merge by index. Every cross-device
 // decision therefore sees the same inputs in the same order on every
 // thread count, which is what makes a fleet run bit-reproducible at 1, 4
 // or 16 workers (tested).

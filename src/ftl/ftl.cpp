@@ -35,10 +35,6 @@ Ftl::TenantPolicy& Ftl::policy_for(sim::TenantId tenant) {
   return p;
 }
 
-const Ftl::TenantPolicy& Ftl::policy_for(sim::TenantId tenant) const {
-  return const_cast<Ftl*>(this)->policy_for(tenant);
-}
-
 void Ftl::set_tenant_channels(sim::TenantId tenant,
                               std::vector<std::uint32_t> channels) {
   if (channels.empty()) {
@@ -57,9 +53,14 @@ void Ftl::set_tenant_channels(sim::TenantId tenant,
   policy.plan = make_static_plan(geom_, policy.channels.size());
 }
 
+// A const reader must not change the device's state (its snapshot, or a
+// reference an earlier query returned), so no policy_for() here.
 const std::vector<std::uint32_t>& Ftl::tenant_channels(
     sim::TenantId tenant) const {
-  return policy_for(tenant).channels;
+  if (tenant < policies_.size() && !policies_[tenant].channels.empty()) {
+    return policies_[tenant].channels;
+  }
+  return all_channels_;
 }
 
 void Ftl::set_tenant_alloc_mode(sim::TenantId tenant, AllocMode mode) {
@@ -67,7 +68,8 @@ void Ftl::set_tenant_alloc_mode(sim::TenantId tenant, AllocMode mode) {
 }
 
 AllocMode Ftl::tenant_alloc_mode(sim::TenantId tenant) const {
-  return policy_for(tenant).mode;
+  return tenant < policies_.size() ? policies_[tenant].mode
+                                   : TenantPolicy{}.mode;
 }
 
 sim::Ppn Ftl::allocate_near(const PlaneTarget& target,

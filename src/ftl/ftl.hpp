@@ -64,6 +64,8 @@ class Ftl {
 
   /// Restrict a tenant's new writes (and read prepopulation) to a channel
   /// set. Defaults to all channels (the paper's Shared baseline).
+  /// The const queries below never install a policy: a tenant without
+  /// one reads the defaults its first write would install.
   void set_tenant_channels(sim::TenantId tenant,
                            std::vector<std::uint32_t> channels);
   const std::vector<std::uint32_t>& tenant_channels(
@@ -231,7 +233,6 @@ class Ftl {
   };
 
   TenantPolicy& policy_for(sim::TenantId tenant);
-  const TenantPolicy& policy_for(sim::TenantId tenant) const;
 
   /// Tail of allocate_write after the placement decision: allocate at or
   /// near the target, install mapping + validity, invalidate the old
@@ -259,7 +260,7 @@ class Ftl {
   OobStore oob_;
   // ssdk-snap: skip(all_channels_): derived channel list [0, channels) computed from geometry at construction
   std::vector<std::uint32_t> all_channels_;
-  mutable std::vector<TenantPolicy> policies_;
+  std::vector<TenantPolicy> policies_;
   // ssdk-snap: skip(tracer_): non-owning observer, explicitly not captured (see save_state doc comment)
   telemetry::Tracer* tracer_ = nullptr;
   // ssdk-snap: skip(trace_now_): non-owning pointer to the owner's clock, rewired by the owner after load

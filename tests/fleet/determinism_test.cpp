@@ -71,6 +71,49 @@ TEST(FleetDeterminism, Fleet32BitIdenticalAt1_4_16Threads) {
   EXPECT_NE(prints[0], 0u);
 }
 
+// Consolidation fans one victim's stay and destination trials out on the
+// pool. The records must not depend on which worker scored which trial:
+// compare them field by field, not only through the fingerprint.
+TEST(FleetDeterminism, MigrationTrialsIdenticalAt1_4_16Threads) {
+  FleetConfig config = fleet32_config();
+  config.devices = 8;
+  config.epochs = 3;
+  // Round-robin stacks the two heavy writers (tenants 0 and 8) on device
+  // 0, and devices 4..7 keep a free slot to migrate into.
+  const auto specs = make_tenant_specs(12, config.devices, config.epoch_ns);
+  RoundRobinPlacement policy;
+
+  std::vector<std::vector<MigrationRecord>> runs;
+  for (const std::size_t threads : kThreadCounts) {
+    runs.push_back(run_fleet(config, specs, policy, threads).migrations);
+  }
+  const auto& base = runs.front();
+  ASSERT_FALSE(base.empty());
+  EXPECT_GE(base.front().trials.size(), 2u);
+
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    SCOPED_TRACE(testing::Message() << kThreadCounts[r] << " threads");
+    ASSERT_EQ(runs[r].size(), base.size());
+    for (std::size_t m = 0; m < base.size(); ++m) {
+      const MigrationRecord& a = base[m];
+      const MigrationRecord& b = runs[r][m];
+      EXPECT_EQ(b.epoch, a.epoch);
+      EXPECT_EQ(b.tenant, a.tenant);
+      EXPECT_EQ(b.from_device, a.from_device);
+      EXPECT_EQ(b.from_slot, a.from_slot);
+      EXPECT_EQ(b.to_device, a.to_device);
+      EXPECT_EQ(b.to_slot, a.to_slot);
+      EXPECT_EQ(b.stay_score_us, a.stay_score_us);
+      EXPECT_EQ(b.move_score_us, a.move_score_us);
+      ASSERT_EQ(b.trials.size(), a.trials.size());
+      for (std::size_t t = 0; t < a.trials.size(); ++t) {
+        EXPECT_EQ(b.trials[t].device, a.trials[t].device);
+        EXPECT_EQ(b.trials[t].score_us, a.trials[t].score_us);
+      }
+    }
+  }
+}
+
 TEST(FleetDeterminism, FaultInjectionOnSubsetStaysBitIdentical) {
   FleetConfig config = fleet32_config();
   // Every 8th device (0, 8, 16, 24) runs with a noisy fault model.

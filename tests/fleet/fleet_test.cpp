@@ -149,6 +149,12 @@ TEST(Fleet, RejectsInvalidConfigs) {
   EXPECT_THROW(run_fleet(config, specs, policy, 1), std::invalid_argument);
   config = small_config();
   EXPECT_THROW(run_fleet(config, {}, policy, 1), std::invalid_argument);
+  // Slots hold tenant ids that index the spec list, so ids must equal
+  // positions: the tail of a larger population ({2, 3}) is rejected
+  // instead of being read past its end.
+  const auto four = make_tenant_specs(4, 0, 10 * kMillisecond);
+  const std::vector<TenantSpec> tail(four.begin() + 2, four.end());
+  EXPECT_THROW(run_fleet(config, tail, policy, 1), std::invalid_argument);
 }
 
 TEST(FleetReport, TablesAndCsvsCoverTheResult) {

@@ -31,6 +31,22 @@ TEST(Ftl, SetTenantChannelsValidates) {
   EXPECT_EQ(chs[1], 3u);
 }
 
+// Regression: a const query for a higher tenant used to grow the policy
+// table and reallocate it, leaving an earlier tenant_channels() reference
+// dangling (a heap-use-after-free under the sanitize preset).
+TEST(Ftl, ChannelReferenceSurvivesQueriesForOtherTenants) {
+  Ftl ftl(sim::Geometry::small());
+  ftl.set_tenant_channels(0, {1, 3});
+  const Ftl& view = ftl;
+  const auto& chs = view.tenant_channels(0);
+  EXPECT_EQ(view.tenant_channels(5).size(), 8u);
+  EXPECT_EQ(view.tenant_alloc_mode(9), AllocMode::kStatic);
+  EXPECT_EQ(&view.tenant_channels(0), &chs);
+  ASSERT_EQ(chs.size(), 2u);
+  EXPECT_EQ(chs[0], 1u);
+  EXPECT_EQ(chs[1], 3u);
+}
+
 TEST(Ftl, WriteInstallsMappingAndInvalidatesOld) {
   Ftl ftl(sim::Geometry::small());
   const auto load = idle_load();

@@ -228,6 +228,21 @@ TEST(DeviceSnapshot, DrainedWfqDeviceRoundTrips) {
   EXPECT_EQ(snapshot::save_device(*forked), snapshot::save_device(*restored));
 }
 
+// Regression: the FTL's const policy queries used to install a default
+// policy for the tenant they were asked about, so merely reading a
+// device changed its snapshot (a fresh default device grew by 100 bytes
+// after one tenant_channels(3)). Concurrent fork trials read devices
+// through const paths and rely on such reads never writing.
+TEST(DeviceSnapshot, ConstFtlQueriesLeaveSnapshotUnchanged) {
+  ssd::Ssd device{ssd::SsdOptions{}};
+  const std::vector<char> before = snapshot::save_device(device);
+  const ftl::Ftl& view = device.ftl();
+  EXPECT_EQ(view.tenant_channels(3).size(),
+            device.options().geometry.channels);
+  EXPECT_EQ(view.tenant_alloc_mode(7), ftl::AllocMode::kStatic);
+  EXPECT_EQ(snapshot::save_device(device), before);
+}
+
 TEST(DeviceSnapshotFile, RoundTripAndCorruptionDetection) {
   const auto recipe = testing::golden_mix1_default();
   const auto features = core::features_of(recipe.requests);
