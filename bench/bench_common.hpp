@@ -9,6 +9,7 @@
 #include <fstream>
 #include <string>
 
+#include "bench_revision.hpp"
 #include "core/label_gen.hpp"
 #include "core/learner.hpp"
 #include "util/config.hpp"
@@ -19,15 +20,11 @@ namespace ssdk::bench {
 inline constexpr const char* kDefaultModelPath =
     "/tmp/ssdkeeper_bench_model.txt";
 
-/// Git revision the bench binary was configured from (baked in by
-/// bench/CMakeLists.txt at configure time; "unknown" outside a checkout).
-inline const char* git_rev() {
-#ifdef SSDK_GIT_REV
-  return SSDK_GIT_REV;
-#else
-  return "unknown";
-#endif
-}
+/// Git revision the bench binary was built from: the short commit,
+/// suffixed "-dirty" when tracked files had uncommitted changes, or
+/// "unknown" outside a checkout (stamped at build time by
+/// bench/CMakeLists.txt).
+inline const char* git_rev() { return SSDK_BENCH_REVISION; }
 
 /// Open a BENCH_*.json file and emit the shared schema prefix every bench
 /// reports: `bench_name` (stable identifier, independent of the output

@@ -3,8 +3,10 @@
 //
 // Both sweeps evaluate every strategy in the 4-tenant space on the same
 // synthesized workloads with the candidate taking effect at fork_point.
-// The cold sweep re-simulates the warm-up prefix for all 42 candidates;
-// the fork sweep simulates it once and fork()s the device per candidate.
+// Both replay one candidate per distinct channel map (12 of the 42
+// strategies) and copy its result to the rest. The cold sweep
+// re-simulates the warm-up prefix for each of the 12; the fork sweep
+// simulates it once and fork()s the device per candidate.
 // The bench asserts the two produce identical labels and per-strategy
 // latencies (fork correctness), then reports the speedup. Emits
 // BENCH_labelgen_throughput.json so CI archives the trajectory.

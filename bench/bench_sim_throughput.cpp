@@ -1,7 +1,8 @@
 // Simulator throughput microbenchmark: replays the canonical 4-tenant
 // catalog mix (Table IV Mix 1) on a fresh device and reports events/sec and
 // requests/sec for the serial hot path, plus the end-to-end wall time of
-// one Algorithm-1 labeling sweep (label_workload = 42 full simulations).
+// one Algorithm-1 labeling sweep (label_workload: 42 strategies, one full
+// simulation per distinct channel map, 12 in all).
 // Emits machine-readable JSON so CI can archive the trajectory and future
 // PRs can compare against BENCH_sim_throughput.json.
 //

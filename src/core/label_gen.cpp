@@ -156,10 +156,39 @@ LabeledSample label_workload(std::span<const sim::IoRequest> requests,
     record(i, run_and_score(*device));
   };
 
+  // The per-tenant channel sets are configure_ssd's only strategy-dependent
+  // input, so strategies that assign_channels maps to the same sets
+  // configure identical devices. Four-part compositions are assigned
+  // largest-first by intensity, so on 8 channels the 42 four-tenant
+  // strategies give only 12 distinct maps (a 2-tenant space's 8 are all
+  // distinct). Run the first strategy of each map and copy its result to
+  // the others; with so few maps a linear scan finds them.
+  std::vector<std::size_t> first_with_map(space.size());
+  std::vector<std::size_t> distinct;
+  {
+    std::vector<std::vector<std::vector<std::uint32_t>>> maps;
+    for (std::size_t i = 0; i < space.size(); ++i) {
+      auto map = assign_channels(space.at(i), profiles,
+                                 config.run.ssd.geometry.channels);
+      const auto k = static_cast<std::size_t>(
+          std::find(maps.begin(), maps.end(), map) - maps.begin());
+      if (k == maps.size()) {
+        maps.push_back(std::move(map));
+        distinct.push_back(i);
+      }
+      first_with_map[i] = distinct[k];
+    }
+  }
+
   if (pool != nullptr) {
-    parallel_for(*pool, space.size(), evaluate);
+    parallel_for(*pool, distinct.size(),
+                 [&](std::size_t k) { evaluate(distinct[k]); });
   } else {
-    for (std::size_t i = 0; i < space.size(); ++i) evaluate(i);
+    for (const std::size_t i : distinct) evaluate(i);
+  }
+  for (std::size_t i = 0; i < space.size(); ++i) {
+    sample.strategy_total_us[i] = sample.strategy_total_us[first_with_map[i]];
+    sample.strategy_score[i] = sample.strategy_score[first_with_map[i]];
   }
 
   // Argmin over the objective; ties fall back to total latency, then to
@@ -242,11 +271,11 @@ GeneratedDataset generate_dataset(const StrategySpace& space,
   GeneratedDataset out;
   out.samples.resize(config.workloads);
 
-  // One task per workload, and each workload's 8/42 strategy sweep fans
-  // out on the same pool (parallel_for is nested-safe: the workload task
-  // claims strategy chunks itself when every worker is busy). Workload
-  // tasks keep the fan-out coarse; the nested sweep fills the tail when
-  // fewer workloads than workers remain.
+  // One task per workload, and each workload's sweep of 8 or 12 distinct
+  // device configurations fans out on the same pool (parallel_for is
+  // nested-safe: the workload task claims strategy chunks itself when
+  // every worker is busy). Workload tasks keep the fan-out coarse; the
+  // nested sweep fills the tail when fewer workloads than workers remain.
   parallel_for(pool, config.workloads, [&](std::size_t i) {
     const auto requests = synthesize_mix(config, i);
     out.samples[i] = label_workload(requests, space, config.label, &pool);

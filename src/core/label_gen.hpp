@@ -44,10 +44,11 @@ struct LabelGenConfig {
   /// fork-at-decision methodology. 0 (default) keeps the legacy cold-start
   /// semantics where every strategy governs the run from time zero.
   double fork_point = 0.0;
-  /// Simulate the warm-up prefix once and fork() the device per strategy
-  /// instead of re-simulating the prefix for all 42 candidates. Produces
-  /// the *same* LabeledSample (labels and per-strategy latencies) as the
-  /// cold sweep at the same fork_point; only wall-clock changes.
+  /// Simulate the warm-up prefix once and fork() the device per distinct
+  /// channel map (see label_workload) instead of re-simulating the prefix
+  /// for each of them. Produces the *same* LabeledSample (labels and
+  /// per-strategy latencies) as the cold sweep at the same fork_point;
+  /// only wall-clock changes.
   bool shared_prefix_fork = false;
   /// Strategy governing the shared warm-up prefix (default: Shared).
   Strategy base_strategy{};
@@ -65,8 +66,13 @@ struct LabeledSample {
   std::vector<double> strategy_score;
 };
 
-/// Evaluate every strategy on one workload. When `pool` is non-null the
-/// per-strategy simulations run in parallel (each on its own device).
+/// Evaluate every strategy on one workload. Strategies for which
+/// assign_channels returns the same per-tenant channel sets configure
+/// identical devices, so only the first of each such group is simulated
+/// and its result is copied to the others: a 4-tenant sweep on 8 channels
+/// runs 12 simulations for its 42 strategies, a 2-tenant sweep all 8.
+/// Every entry equals a run of its own strategy. When `pool` is non-null
+/// the simulations run in parallel (each on its own device).
 LabeledSample label_workload(std::span<const sim::IoRequest> requests,
                              const StrategySpace& space,
                              const LabelGenConfig& config,

@@ -116,6 +116,73 @@ TEST(LabelGen, ForkSweepParallelAndSerialAgree) {
   EXPECT_EQ(serial.strategy_total_us, parallel.strategy_total_us);
 }
 
+/// Every entry of a sweep equals an independent replay of its own
+/// strategy. The sweep replays one strategy per distinct channel map and
+/// copies its result to the others, so the copied entries need this
+/// check: comparing the fork sweep with the cold sweep would not catch a
+/// copy made from the wrong strategy, since both sweeps copy alike.
+TEST(LabelGen, EveryStrategyMatchesItsOwnRun) {
+  for (const std::uint32_t tenants : {4u, 2u}) {
+    DatasetGenConfig gen = small_config();
+    gen.tenants = tenants;
+    const auto requests = synthesize_mix(gen, 1);
+    const auto space = StrategySpace::for_tenants(tenants);
+    LabelGenConfig config = gen.label;
+    // Tenant 0 gets a tight SLO so the SLO objective has misses to count.
+    config.run.ssd.sched.shares.push_back(
+        {.tenant = 0, .weight = 1, .slo_target_us = 160});
+    const auto profiles =
+        features_of(requests, config.features).profiles(tenants);
+    const auto baselines = isolated_baselines(requests, profiles, config.run);
+
+    for (const double fork_point : {0.0, 0.5}) {
+      const auto switch_at = static_cast<std::uint64_t>(
+          fork_point * static_cast<double>(requests.size()));
+      std::vector<RunResult> own;
+      for (std::size_t i = 0; i < space.size(); ++i) {
+        RunResult r =
+            switch_at == 0
+                ? run_with_strategy(requests, space.at(i), profiles,
+                                    config.run)
+                : run_with_strategy_switch(requests, config.base_strategy,
+                                           space.at(i), switch_at, profiles,
+                                           config.run);
+        apply_fairness(r, baselines);
+        own.push_back(std::move(r));
+      }
+
+      for (const bool fork : {true, false}) {
+        for (const LabelObjective objective :
+             {LabelObjective::kTotalLatency, LabelObjective::kFairness,
+              LabelObjective::kSloViolations}) {
+          config.fork_point = fork_point;
+          config.shared_prefix_fork = fork;
+          config.objective = objective;
+          const LabeledSample sample =
+              label_workload(requests, space, config, nullptr);
+          ASSERT_EQ(sample.strategy_total_us.size(), space.size());
+          ASSERT_EQ(sample.strategy_score.size(), space.size());
+          for (std::size_t i = 0; i < space.size(); ++i) {
+            SCOPED_TRACE(testing::Message()
+                         << tenants << " tenants, fork_point " << fork_point
+                         << (fork ? ", fork" : ", cold") << " sweep, "
+                         << label_objective_name(objective) << ", "
+                         << space.at(i).name());
+            EXPECT_EQ(sample.strategy_total_us[i], own[i].total_us);
+            const double expected =
+                objective == LabelObjective::kTotalLatency
+                    ? own[i].total_us
+                : objective == LabelObjective::kSloViolations
+                    ? static_cast<double>(own[i].slo_violations)
+                    : own[i].worst_slowdown;
+            EXPECT_EQ(sample.strategy_score[i], expected);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(LabelGen, GenerateDatasetShapes) {
   const auto config = small_config(6);
   const auto space = StrategySpace::for_tenants(4);

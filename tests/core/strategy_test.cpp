@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
 #include <numeric>
 #include <set>
 
@@ -145,6 +148,54 @@ TEST(AssignChannels, TieOnIntensityIsStable) {
       {0, false, 0.25}, {1, true, 0.25}, {2, false, 0.25}, {3, true, 0.25}};
   const auto sets = assign_channels(s, profiles, 8);
   EXPECT_EQ(sets[0].size(), 5u);  // first tenant wins the tie
+}
+
+/// assign_channels hands a four-part composition's parts out
+/// largest-first, so the 34 compositions configure one device per multiset
+/// of parts: whatever the profiles, the 42 strategies hold 12 distinct
+/// channel maps (Shared, the 7 two-part splits, 4 multisets). The label
+/// sweep replays each distinct map once, so its cost rests on this count.
+TEST(StrategySpace, FourTenantSpaceHasTwelveDistinctChannelMaps) {
+  using ChannelMap = std::vector<std::vector<std::uint32_t>>;
+  const auto space = StrategySpace::for_tenants(4);
+  const std::vector<std::vector<TenantProfile>> cases{
+      {{0, false, 0.4}, {1, true, 0.3}, {2, false, 0.2}, {3, true, 0.1}},
+      {{0, true, 0.1}, {1, true, 0.2}, {2, true, 0.3}, {3, true, 0.4}},
+      {{0, false, 0.3}, {1, false, 0.1}, {2, false, 0.4}, {3, false, 0.2}},
+      {{0, false, 0.25}, {1, true, 0.25}, {2, false, 0.25}, {3, true, 0.25}},
+  };
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE(c);
+    // A strategy's class is its name, with a four-part composition's parts
+    // sorted so that its permutations share one class.
+    std::set<std::string> classes;
+    std::map<ChannelMap, std::set<std::string>> classes_of_map;
+    for (std::size_t i = 0; i < space.size(); ++i) {
+      Strategy cls = space.at(i);
+      if (cls.kind == StrategyKind::kFourPart) {
+        std::sort(cls.parts.begin(), cls.parts.end(), std::greater<>());
+      }
+      classes.insert(cls.name());
+      classes_of_map[assign_channels(space.at(i), cases[c], 8)].insert(
+          cls.name());
+    }
+    EXPECT_EQ(classes.size(), 12u);
+    EXPECT_EQ(classes_of_map.size(), 12u);
+    for (const auto& [map, names] : classes_of_map) {
+      EXPECT_EQ(names.size(), 1u) << *names.begin();
+    }
+  }
+
+  const auto two = StrategySpace::for_tenants(2);
+  for (const auto& profiles :
+       {two_profiles(false, true), two_profiles(true, true, 0.2, 0.8),
+        two_profiles(false, false, 0.5, 0.5)}) {
+    std::set<ChannelMap> maps;
+    for (std::size_t i = 0; i < two.size(); ++i) {
+      maps.insert(assign_channels(two.at(i), profiles, 8));
+    }
+    EXPECT_EQ(maps.size(), two.size());
+  }
 }
 
 }  // namespace
