@@ -4,11 +4,19 @@
 // One open block per plane; writes routed to a plane append into its open
 // block. Wear leveling is allocation-time: when a plane needs a fresh open
 // block, the least-erased free block is chosen.
+//
+// State grows with the blocks a run opens, not with capacity. Each plane
+// hands out never-used blocks from an ascending cursor: every block below
+// the cursor has a record, validity bits and an owner run, and every
+// block at or above it is implicitly Free with no erases and no record.
+// The records live in a few pooled, plane-major arrays with one per-plane
+// capacity that doubles when a plane outgrows it, so a copy moves only
+// opened blocks and every per-page query is O(1) arithmetic.
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -42,19 +50,16 @@ struct WearStats {
   std::uint64_t total_erases = 0;
 };
 
+/// A plane's cursor advances when it opens a never-used block, and past
+/// any block that is retired or records a failure before it was ever
+/// opened (the blocks it skips become explicit Free records). Pool slots
+/// at or above a plane's cursor stay zeroed, so a page there reads as
+/// invalid without a lookup of the cursor. Copies are memberwise: a fork
+/// moves the pooled arrays, which hold `planes x capacity` blocks, where
+/// the capacity is at most twice the largest cursor.
 class BlockManager {
  public:
   explicit BlockManager(const sim::Geometry& geometry);
-
-  // The owner array is deliberately left uninitialized where the validity
-  // bitmap says "invalid", so copies must be bitmap-guided: a full-array
-  // memcpy would drag ~8 MB of never-written memory through the cache per
-  // fork on the paper geometry, and device construction would pay the
-  // same in memset. These copies are what make 42-way fork sweeps cheap.
-  BlockManager(const BlockManager& other);
-  BlockManager& operator=(const BlockManager& other);
-  BlockManager(BlockManager&&) = default;
-  BlockManager& operator=(BlockManager&&) = default;
 
   const sim::Geometry& geometry() const { return geom_; }
 
@@ -69,23 +74,14 @@ class BlockManager {
     if (plane.open_block < 0 && !open_new_block(plane_id)) {
       return std::nullopt;
     }
-
-    auto block = static_cast<std::uint32_t>(plane.open_block);
-    auto* info = &blocks_[block_index(plane_id, block)];
-    if (info->write_ptr >= geom_.pages_per_block) {
-      info->state = BlockState::kFull;
-      plane.open_block = -1;
-      if (!open_new_block(plane_id)) return std::nullopt;
-      block = static_cast<std::uint32_t>(plane.open_block);
-      info = &blocks_[block_index(plane_id, block)];
-    }
-
+    const auto block = static_cast<std::uint32_t>(plane.open_block);
+    BlockInfo& info = blocks_[slot(plane_id, block)];
+    assert(info.write_ptr < geom_.pages_per_block);
     const sim::Ppn ppn =
-        (block_index(plane_id, block)) * geom_.pages_per_block +
-        info->write_ptr;
-    ++info->write_ptr;
-    if (info->write_ptr == geom_.pages_per_block) {
-      info->state = BlockState::kFull;
+        (plane_id * geom_.blocks_per_plane + block) * geom_.pages_per_block +
+        info.write_ptr;
+    if (++info.write_ptr == geom_.pages_per_block) {
+      info.state = BlockState::kFull;
       plane.open_block = -1;
     }
     return ppn;
@@ -93,36 +89,36 @@ class BlockManager {
 
   /// Record ownership of a just-written page and mark it valid.
   void mark_valid(sim::Ppn ppn, sim::TenantId tenant, std::uint64_t lpn) {
-    assert(ppn < total_pages_);
-    assert(!page_valid(ppn));
-    valid_bits_[ppn >> 6] |= std::uint64_t{1} << (ppn & 63);
-    owner_[ppn] = pack_owner(tenant, lpn);
-    ++blocks_[ppn / geom_.pages_per_block].valid;
+    const PagePos pos = locate(ppn);
+    assert(pos.in_pool && !page_valid(pos));
+    valid_bits_[word_index(pos)] |= bit_of(pos);
+    owners_[owner_index(pos)] = pack_owner(tenant, lpn);
+    ++blocks_[pos.slot].valid;
   }
 
   /// Invalidate a page (its LPN was overwritten or trimmed).
   void invalidate(sim::Ppn ppn) {
-    assert(ppn < total_pages_);
-    const std::uint64_t mask = std::uint64_t{1} << (ppn & 63);
-    std::uint64_t& word = valid_bits_[ppn >> 6];
-    if ((word & mask) == 0) return;
-    word &= ~mask;
-    auto& info = blocks_[ppn / geom_.pages_per_block];
+    const PagePos pos = locate(ppn);
+    if (!pos.in_pool) return;
+    std::uint64_t& word = valid_bits_[word_index(pos)];
+    if ((word & bit_of(pos)) == 0) return;
+    word &= ~bit_of(pos);
+    auto& info = blocks_[pos.slot];
     assert(info.valid > 0);
     --info.valid;
   }
 
   bool is_valid(sim::Ppn ppn) const {
-    assert(ppn < total_pages_);
-    return page_valid(ppn);
+    const PagePos pos = locate(ppn);
+    return pos.in_pool && page_valid(pos);
   }
 
   PageOwner owner(sim::Ppn ppn) const {
-    assert(ppn < total_pages_);
-    if (!page_valid(ppn)) {
+    const PagePos pos = locate(ppn);
+    if (!pos.in_pool || !page_valid(pos)) {
       throw std::logic_error("block_manager: page has no owner");
     }
-    const std::uint64_t packed = owner_[ppn];
+    const std::uint64_t packed = owners_[owner_index(pos)];
     return PageOwner{static_cast<sim::TenantId>(packed >> 40),
                      packed & kLpnMask};
   }
@@ -172,8 +168,9 @@ class BlockManager {
   /// Audit the block-level bookkeeping: per-block write-pointer/valid/state
   /// consistency, valid counters vs. actual page owners, plane free-list
   /// integrity (membership, uniqueness, state agreement), open-block
-  /// registration, and the retired-block counter. Throws
-  /// util::InvariantViolation on the first breach.
+  /// registration, cursor bounds and zeroed slots above each cursor, and
+  /// the retired-block counter. Throws util::InvariantViolation on the
+  /// first breach.
   void check_invariants() const;
 
   // --- bad-block management (fault model) --------------------------------
@@ -208,32 +205,22 @@ class BlockManager {
                         RecoveryReport& report);
 
   /// Serialize everything but the geometry (fixed at construction; the
-  /// snapshot layer round-trips it as part of the device options).
+  /// snapshot layer round-trips it as part of the device options): the
+  /// plane cursors, each opened block's record and validity words with
+  /// owners for its valid pages only, the open blocks and the sorted
+  /// free lists. The loader checks every field against the geometry and
+  /// the records before use and throws snapshot::SnapshotError with the
+  /// byte offset of the first bad one.
   void save_state(snapshot::StateWriter& w) const;
   void load_state(snapshot::StateReader& r);
 
  private:
   static constexpr std::uint64_t kLpnMask = (1ULL << 40) - 1;
-  /// Sentinel doubling as the validity flag: a page is valid exactly when
-  /// it has an owner, so one array serves both queries with one cache
-  /// line touched instead of two.
-  static constexpr std::uint64_t kNoOwner = ~std::uint64_t{0};
 
   static std::uint64_t pack_owner(sim::TenantId tenant, std::uint64_t lpn) {
     assert(lpn <= kLpnMask);
     return (static_cast<std::uint64_t>(tenant) << 40) | lpn;
   }
-
-  std::uint64_t block_index(std::uint64_t plane_id,
-                            std::uint32_t block) const {
-    return plane_id * geom_.blocks_per_plane + block;
-  }
-
-  /// Pop the least-erased free block of a plane and open it.
-  bool open_new_block(std::uint64_t plane_id);
-
-  // ssdk-snap: skip(geom_): fixed at construction; a loaded device is built from the OPTS geometry before load_state runs
-  sim::Geometry geom_;
 
   struct BlockInfo {
     std::uint32_t write_ptr = 0;    ///< next page to program
@@ -244,40 +231,98 @@ class BlockManager {
     std::uint8_t erase_fails = 0;
   };
   struct PlaneInfo {
-    std::vector<std::uint32_t> free_list;  ///< free block ids
-    std::int64_t open_block = -1;          ///< -1 = none
+    std::uint32_t cursor = 0;      ///< blocks below it have records
+    std::uint32_t free_count = 0;  ///< length of the explicit free list
+    std::int64_t open_block = -1;  ///< -1 = none
   };
 
-  bool page_valid(sim::Ppn ppn) const {
-    return (valid_bits_[ppn >> 6] >> (ppn & 63)) & 1;
+  /// Where a page's state lives: the pool slot of its block and its index
+  /// within the block. `in_pool` is false for blocks past the pool's
+  /// per-plane capacity, which have no slot and hold no valid page.
+  struct PagePos {
+    std::uint64_t slot;
+    std::uint32_t page;
+    bool in_pool;
+  };
+
+  PagePos locate(sim::Ppn ppn) const {
+    assert(ppn < geom_.total_pages());
+    const std::uint32_t ppb = geom_.pages_per_block;
+    const std::uint32_t bpp = geom_.blocks_per_plane;
+    // Every stock geometry has power-of-two blocks and pages; this runs
+    // on every validity query, where two hardware divides are measurable.
+    const std::uint64_t block =
+        pow2_ ? ppn >> std::countr_zero(ppb) : ppn / ppb;
+    const std::uint64_t plane =
+        pow2_ ? block >> std::countr_zero(bpp) : block / bpp;
+    const std::uint64_t in_plane = block - plane * bpp;
+    return PagePos{plane * cap_ + in_plane,
+                   static_cast<std::uint32_t>(ppn - block * ppb),
+                   in_plane < cap_};
   }
 
-  /// Install an owner during recovery/snapshot load (no valid-count
-  /// bookkeeping — the caller rebuilds counters itself).
+  std::uint64_t slot(std::uint64_t plane_id, std::uint32_t block) const {
+    return plane_id * cap_ + block;
+  }
+  std::uint32_t words_per_block() const {
+    return (geom_.pages_per_block + 63) / 64;
+  }
+  std::uint64_t word_index(const PagePos& pos) const {
+    return pos.slot * words_per_block() + (pos.page >> 6);
+  }
+  static std::uint64_t bit_of(const PagePos& pos) {
+    return std::uint64_t{1} << (pos.page & 63);
+  }
+  std::uint64_t owner_base(std::uint64_t slot) const {
+    return slot * geom_.pages_per_block;
+  }
+  std::uint64_t owner_index(const PagePos& pos) const {
+    return owner_base(pos.slot) + pos.page;
+  }
+  bool page_valid(const PagePos& pos) const {
+    return (valid_bits_[word_index(pos)] & bit_of(pos)) != 0;
+  }
+
+  /// Install an owner during recovery (no valid-count bookkeeping — the
+  /// caller rebuilds counters itself).
   void set_owner_raw(sim::Ppn ppn, std::uint64_t packed) {
-    valid_bits_[ppn >> 6] |= std::uint64_t{1} << (ppn & 63);
-    owner_[ppn] = packed;
+    const PagePos pos = locate(ppn);
+    assert(pos.in_pool);
+    valid_bits_[word_index(pos)] |= bit_of(pos);
+    owners_[owner_index(pos)] = packed;
   }
 
-  /// Clear validity for [first, first + count) (block erase, recovery).
-  void clear_valid_range(sim::Ppn first, std::uint64_t count);
+  /// Pop the least-erased free block of a plane and open it.
+  bool open_new_block(std::uint64_t plane_id);
 
-  /// Bitmap-guided copy of another manager's owner state into this one's
-  /// (already-allocated) arrays.
-  void copy_owners_from(const BlockManager& other);
+  /// Give every block of the plane below `end` a record: blocks between
+  /// the cursor and `end` become Free records on the explicit free list.
+  void extend_cursor(std::uint64_t plane_id, std::uint32_t end);
 
-  std::vector<BlockInfo> blocks_;     // indexed by global block id
-  std::vector<PlaneInfo> planes_;     // indexed by plane id
-  std::uint64_t retired_ = 0;         // device-wide retired-block count
-  // ssdk-snap: skip(total_pages_): derived from geometry at construction, never mutated
-  std::uint64_t total_pages_ = 0;
-  // Page validity, one bit per PPN. A page's packed owner
-  // (tenant<<40 | lpn) lives in owner_[ppn] *only while its bit is set*;
-  // owner_ is allocated uninitialized and entries for invalid pages are
-  // never read or copied (see the copy-constructor note above).
-  std::vector<std::uint64_t> valid_bits_;
-  // ssdk-snap: skip(owner_): rebuilt entry-by-entry via set_owner_raw while the validity bitmap loads; invalid entries are deliberately uninitialized
-  std::unique_ptr<std::uint64_t[]> owner_;
+  /// The block's record, created first if the block was never opened.
+  BlockInfo& record(std::uint64_t plane_id, std::uint32_t block);
+
+  /// Grow the per-plane pool capacity to hold at least `blocks` records,
+  /// doubling and capped at blocks_per_plane; copies each plane's records.
+  void reserve_blocks(std::uint32_t blocks);
+
+  // ssdk-snap: skip(geom_): fixed at construction; a loaded device is built from the OPTS geometry before load_state runs
+  sim::Geometry geom_;
+  // ssdk-snap: skip(pow2_): derived from geometry at construction, never mutated
+  bool pow2_ = false;
+  // ssdk-snap: skip(cap_): pool layout, not state; the loader sizes the pool to the loaded cursors
+  std::uint32_t cap_ = 0;  ///< records per plane the pool holds
+
+  std::vector<PlaneInfo> planes_;  // indexed by plane id
+  // The pool, plane-major with cap_ slots per plane: slot(p, b) holds
+  // block b of plane p for b below the plane's cursor.
+  std::vector<BlockInfo> blocks_;
+  std::vector<std::uint32_t> free_ids_;  // explicit free list, free_count long
+  std::vector<std::uint64_t> valid_bits_;  // words_per_block() per slot
+  // Packed owner (tenant<<40 | lpn) per page, pages_per_block per slot;
+  // meaningful only while the page's validity bit is set.
+  std::vector<std::uint64_t> owners_;
+  std::uint64_t retired_ = 0;  // device-wide retired-block count
 };
 
 }  // namespace ssdk::ftl

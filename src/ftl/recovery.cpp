@@ -36,8 +36,9 @@ namespace ssdk::ftl {
 void BlockManager::recover_from_oob(OobStore& oob, MappingTable& map,
                                     RecoveryReport& report) {
   const std::uint32_t ppb = geom_.pages_per_block;
-  const std::uint64_t nblocks = blocks_.size();
-  report.scanned_pages += total_pages_;
+  const std::uint32_t bpp = geom_.blocks_per_plane;
+  const std::uint64_t nblocks = geom_.total_blocks();
+  report.scanned_pages += geom_.total_pages();
 
   // Pass 1: settle unknown blocks (erase was in flight at the cut). A
   // healthy block is re-erased at mount; a retired block is never erased,
@@ -46,24 +47,27 @@ void BlockManager::recover_from_oob(OobStore& oob, MappingTable& map,
     if (!oob.block_unknown(b)) continue;
     oob.clear_block_unknown(b);
     const sim::Ppn first = b * ppb;
-    if (blocks_[b].state == BlockState::kRetired) {
+    BlockInfo& info = record(b / bpp, static_cast<std::uint32_t>(b % bpp));
+    if (info.state == BlockState::kRetired) {
       for (sim::Ppn p = first; p < first + ppb; ++p) oob.record_failed(p);
       continue;
     }
     oob.erase_range(first, ppb);
-    ++blocks_[b].erases;
+    ++info.erases;
     ++report.unknown_blocks;
-    ++report.reerases_per_plane[b / geom_.blocks_per_plane];
+    ++report.reerases_per_plane[b / bpp];
   }
 
   // Pass 2: scan every page's OOB in ascending PPN order and keep, per
   // logical page, the copy with the highest sequence number (first seen
   // wins ties — the lowest PPN). Torn pages are discarded and downgraded
   // to kFailed so a later crash-recovery cycle does not recount them.
+  // Every block holding a programmed page gets a record.
   std::map<std::uint64_t, std::pair<std::uint64_t, sim::Ppn>> best;
   std::uint64_t readable = 0;
-  for (sim::Ppn p = 0; p < total_pages_; ++p) {
-    switch (oob.state(p)) {
+  for (sim::Ppn p = 0; p < geom_.total_pages(); ++p) {
+    const OobState state = oob.state(p);
+    switch (state) {
       case OobState::kData: {
         ++readable;
         const std::uint64_t key = oob.owner(p);
@@ -80,30 +84,37 @@ void BlockManager::recover_from_oob(OobStore& oob, MappingTable& map,
       case OobState::kFailed:
         break;
     }
+    if (state != OobState::kErased) {
+      const std::uint64_t b = p / ppb;
+      record(b / bpp, static_cast<std::uint32_t>(b % bpp));
+    }
   }
 
   // Pass 3: rebuild block bookkeeping. Only retired flags and erase
-  // counters survive; fail counters are volatile DRAM and reset.
-  for (std::uint64_t b = 0; b < nblocks; ++b) {
-    BlockInfo& info = blocks_[b];
-    info.program_fails = 0;
-    info.erase_fails = 0;
-    info.valid = 0;
-    if (info.state == BlockState::kRetired) continue;
-    bool programmed = false;
-    const sim::Ppn first = b * ppb;
-    for (sim::Ppn p = first; p < first + ppb; ++p) {
-      if (oob.state(p) != OobState::kErased) {
-        programmed = true;
-        break;
+  // counters survive; fail counters are volatile DRAM and reset. Blocks
+  // past a plane's cursor were never programmed and stay implicitly Free.
+  for (std::uint64_t plane = 0; plane < planes_.size(); ++plane) {
+    for (std::uint32_t blk = 0; blk < planes_[plane].cursor; ++blk) {
+      BlockInfo& info = blocks_[slot(plane, blk)];
+      info.program_fails = 0;
+      info.erase_fails = 0;
+      info.valid = 0;
+      if (info.state == BlockState::kRetired) continue;
+      bool programmed = false;
+      const sim::Ppn first = (plane * bpp + blk) * ppb;
+      for (sim::Ppn p = first; p < first + ppb; ++p) {
+        if (oob.state(p) != OobState::kErased) {
+          programmed = true;
+          break;
+        }
       }
-    }
-    if (programmed) {
-      info.state = BlockState::kFull;
-      info.write_ptr = ppb;
-    } else {
-      info.state = BlockState::kFree;
-      info.write_ptr = 0;
+      if (programmed) {
+        info.state = BlockState::kFull;
+        info.write_ptr = ppb;
+      } else {
+        info.state = BlockState::kFree;
+        info.write_ptr = 0;
+      }
     }
   }
   std::fill(valid_bits_.begin(), valid_bits_.end(), 0);
@@ -112,32 +123,33 @@ void BlockManager::recover_from_oob(OobStore& oob, MappingTable& map,
   for (const auto& [key, win] : best) {
     const sim::Ppn ppn = win.second;
     set_owner_raw(ppn, key);
-    ++blocks_[ppn / ppb].valid;
+    ++blocks_[locate(ppn).slot].valid;
     map.update(OobStore::owner_tenant(key), OobStore::owner_lpn(key), ppn);
   }
   report.recovered_pages += best.size();
   report.stale_pages += readable - best.size();
 
-  // Pass 5: free lists (ascending block order — deterministic and
-  // wear-ordered later by allocation) and append points.
+  // Pass 5: free lists (ascending block order; the wear-leveling pick does
+  // not depend on list order) and append points.
   for (std::uint64_t plane = 0; plane < planes_.size(); ++plane) {
     PlaneInfo& info = planes_[plane];
-    info.free_list.clear();
+    info.free_count = 0;
     info.open_block = -1;
-    for (std::uint32_t blk = 0; blk < geom_.blocks_per_plane; ++blk) {
-      if (blocks_[block_index(plane, blk)].state == BlockState::kFree) {
-        info.free_list.push_back(blk);
+    for (std::uint32_t blk = 0; blk < info.cursor; ++blk) {
+      if (blocks_[slot(plane, blk)].state == BlockState::kFree) {
+        free_ids_[slot(plane, info.free_count++)] = blk;
       }
     }
   }
 
   // Retired blocks still holding winners need their rescue migration
   // restarted by the device model.
-  for (std::uint64_t b = 0; b < nblocks; ++b) {
-    if (blocks_[b].state == BlockState::kRetired && blocks_[b].valid > 0) {
-      report.rescue_blocks.emplace_back(
-          b / geom_.blocks_per_plane,
-          static_cast<std::uint32_t>(b % geom_.blocks_per_plane));
+  for (std::uint64_t plane = 0; plane < planes_.size(); ++plane) {
+    for (std::uint32_t blk = 0; blk < planes_[plane].cursor; ++blk) {
+      const BlockInfo& info = blocks_[slot(plane, blk)];
+      if (info.state == BlockState::kRetired && info.valid > 0) {
+        report.rescue_blocks.emplace_back(plane, blk);
+      }
     }
   }
 }

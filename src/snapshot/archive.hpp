@@ -230,7 +230,8 @@ inline constexpr char kSnapshotMagic[8] = {'S', 'S', 'D', 'K',
 // Version 2: OPTS carries the power model; campaign samples carry
 // per-strategy objective scores. Version 3: the device's CHNL and UNIT
 // sections drop the derived queued-write count and front-write seq.
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+// Version 4: BLKM stores opened blocks only, with owners for valid pages.
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 enum class PayloadKind : std::uint32_t {
   kDevice = 1,    ///< full SSD device state

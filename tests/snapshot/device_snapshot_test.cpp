@@ -15,10 +15,13 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "../ssd/golden_schedule_recipe.hpp"
+#include "core/label_gen.hpp"
 #include "core/runner.hpp"
 #include "snapshot/archive.hpp"
 #include "telemetry/binary_trace.hpp"
@@ -241,6 +244,269 @@ TEST(DeviceSnapshot, ConstFtlQueriesLeaveSnapshotUnchanged) {
             device.options().geometry.channels);
   EXPECT_EQ(view.tenant_alloc_mode(7), ftl::AllocMode::kStatic);
   EXPECT_EQ(snapshot::save_device(device), before);
+}
+
+// --- BLKM: block state of opened blocks only --------------------------------
+
+/// pipeline's generator settings: 0.35 s synthesize_mix workloads.
+std::vector<sim::IoRequest> pipeline_workload() {
+  core::DatasetGenConfig gen;
+  gen.workload_duration_s = 0.35;
+  return core::synthesize_mix(gen, 0);
+}
+
+/// A device built for `requests` under `config` and run up to arrival `cut`.
+std::unique_ptr<ssd::Ssd> device_at(const std::vector<sim::IoRequest>& requests,
+                                    std::uint32_t tenants,
+                                    core::RunConfig config, std::uint64_t cut) {
+  const auto profiles = core::features_of(requests).profiles(tenants);
+  auto device = core::make_run_device(requests, core::Strategy{}, profiles,
+                                      config);
+  device->run_until_arrival(cut);
+  return device;
+}
+
+std::uint64_t read_u64_at(const std::vector<char>& buf, std::size_t pos) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, buf.data() + pos, sizeof(v));
+  return v;
+}
+std::uint32_t read_u32_at(const std::vector<char>& buf, std::size_t pos) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, buf.data() + pos, sizeof(v));
+  return v;
+}
+void write_u64_at(std::vector<char>& buf, std::size_t pos, std::uint64_t v) {
+  std::memcpy(buf.data() + pos, &v, sizeof(v));
+}
+void write_u32_at(std::vector<char>& buf, std::size_t pos, std::uint32_t v) {
+  std::memcpy(buf.data() + pos, &v, sizeof(v));
+}
+
+/// Byte offsets of the v4 BLKM fields in a device payload (layout in
+/// src/ftl/block_manager.cpp, above save_state).
+struct BlkmLayout {
+  struct Record {
+    std::size_t at;  ///< u32 write_ptr, u32 valid, u64 erases, u8 state...
+    std::uint32_t write_ptr;
+    std::uint32_t valid;
+    std::uint8_t state;
+  };
+  struct Plane {
+    std::size_t cursor_at;
+    std::vector<Record> records;
+    std::size_t open_at;
+    std::size_t list_at;  ///< u64 length, then u32 ids
+    std::uint64_t list_len;
+  };
+  std::size_t retired_at = 0;
+  std::vector<Plane> planes;
+};
+
+BlkmLayout parse_blkm(const std::vector<char>& payload,
+                      std::uint32_t pages_per_block) {
+  const std::size_t words = (pages_per_block + 63) / 64;
+  BlkmLayout layout;
+  std::size_t pos = 0;
+  while (std::memcmp(payload.data() + pos, "BLKM", 4) != 0) ++pos;
+  layout.retired_at = pos + 4;
+  const std::uint64_t nplanes = read_u64_at(payload, pos + 12);
+  pos += 20;
+  for (std::uint64_t p = 0; p < nplanes; ++p) {
+    BlkmLayout::Plane plane;
+    plane.cursor_at = pos;
+    const std::uint64_t cursor = read_u64_at(payload, pos);
+    pos += 8;
+    for (std::uint64_t b = 0; b < cursor; ++b) {
+      BlkmLayout::Record rec{pos, read_u32_at(payload, pos),
+                             read_u32_at(payload, pos + 4),
+                             static_cast<std::uint8_t>(payload[pos + 16])};
+      plane.records.push_back(rec);
+      pos += 19 + 8 * words + std::size_t{8} * rec.valid;
+    }
+    plane.open_at = pos;
+    plane.list_at = pos + 8;
+    plane.list_len = read_u64_at(payload, plane.list_at);
+    pos = plane.list_at + 8 + 4 * plane.list_len;
+    layout.planes.push_back(std::move(plane));
+  }
+  return layout;
+}
+
+std::vector<char> payload_of(const ssd::Ssd& device) {
+  const std::vector<char> bytes = snapshot::save_device(device);
+  std::istringstream in(std::string(bytes.begin(), bytes.end()));
+  return snapshot::read_container(in, snapshot::PayloadKind::kDevice);
+}
+
+/// Apply `patch` to a copy of `payload`, re-seal it and require
+/// load_device to refuse it with a SnapshotError whose message names
+/// `expected`.
+template <typename Patch>
+void expect_rejected(std::vector<char> payload, Patch&& patch,
+                     const char* expected) {
+  patch(payload);
+  std::ostringstream out;
+  snapshot::write_container(out, snapshot::PayloadKind::kDevice, payload);
+  const std::string sealed = out.str();
+  try {
+    snapshot::load_device(std::span<const char>(sealed.data(), sealed.size()));
+    ADD_FAILURE() << "accepted a payload whose " << expected << " was mutated";
+  } catch (const snapshot::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+        << e.what();
+  }
+}
+
+// Regression: the BLKM loader used to cast the state byte and accept any
+// open block, write pointer or free-list id; a re-sealed payload with
+// plane 0's open block at 2^20 loaded, and the next write to that plane
+// indexed out of bounds. Every field is now checked before use.
+TEST(DeviceSnapshot, RejectsResealedBlkmMutations) {
+  const auto requests = pipeline_workload();
+  const core::RunConfig config;
+  const std::uint32_t ppb = config.ssd.geometry.pages_per_block;
+  const auto device = device_at(requests, 4, config, requests.size() / 2);
+  const std::vector<char> payload = payload_of(*device);
+  ASSERT_NO_THROW(snapshot::load_device(snapshot::save_device(*device)));
+  const BlkmLayout layout = parse_blkm(payload, ppb);
+  const BlkmLayout::Plane& plane0 = layout.planes.at(0);
+  ASSERT_FALSE(plane0.records.empty());
+  const BlkmLayout::Record& first = plane0.records.front();
+
+  const auto mutated = [&](auto&& patch, const char* expected) {
+    expect_rejected(payload, patch, expected);
+  };
+  mutated([&](auto& b) { write_u64_at(b, plane0.open_at, 1u << 20); },
+          "open block");
+  mutated([&](auto& b) { b[first.at + 16] = 7; }, "invalid state");
+  mutated([&](auto& b) { write_u32_at(b, first.at, ppb + 1); },
+          "exceeds pages_per_block");
+  mutated([&](auto& b) { write_u32_at(b, first.at + 4, first.write_ptr + 1); },
+          "valid pages but wrote");
+  mutated(
+      [&](auto& b) {
+        ASSERT_GT(first.valid, 0u);
+        write_u32_at(b, first.at + 4, first.valid - 1);
+      },
+      "set validity bits");
+  mutated(
+      [&](auto& b) {
+        write_u64_at(b, plane0.cursor_at,
+                     config.ssd.geometry.blocks_per_plane + 1);
+      },
+      "exceeds blocks_per_plane");
+  mutated(
+      [&](auto& b) {
+        write_u64_at(b, layout.retired_at,
+                     read_u64_at(payload, layout.retired_at) + 1);
+      },
+      "retired count");
+  mutated(
+      [&](auto& b) {
+        ASSERT_GT(first.write_ptr, 0u);
+        b[first.at + 16] = 0;  // Free, yet written
+      },
+      "disagrees with write pointer");
+
+  // An owner on an unprogrammed page: move one valid bit of an open block
+  // to the page at its write pointer (counts unchanged).
+  const BlkmLayout::Record* open = nullptr;
+  for (const auto& plane : layout.planes) {
+    for (const auto& rec : plane.records) {
+      if (rec.state == 1 && rec.valid > 0) open = &rec;
+    }
+  }
+  ASSERT_NE(open, nullptr) << "no open block with a valid page";
+  mutated(
+      [&](auto& b) {
+        std::uint64_t word = read_u64_at(b, open->at + 19);
+        ASSERT_NE(word, 0u);
+        word &= word - 1;  // drop the lowest valid page
+        word |= std::uint64_t{1} << open->write_ptr;
+        write_u64_at(b, open->at + 19, word);
+      },
+      "at or above its write pointer");
+
+  // Free-list ids: GC churn on a small device leaves erased blocks on the
+  // free lists, which a label-sweep prefix never has.
+  const testing::GoldenRecipe recipe = testing::golden_gc_churn();
+  const auto churned = device_at(recipe.requests, recipe.tenants,
+                                 recipe.config, recipe.requests.size() / 2);
+  const std::vector<char> churned_payload = payload_of(*churned);
+  const BlkmLayout churned_layout = parse_blkm(
+      churned_payload, recipe.config.ssd.geometry.pages_per_block);
+  const BlkmLayout::Plane* plane = nullptr;
+  for (const auto& p : churned_layout.planes) {
+    if (p.list_len >= 2) plane = &p;
+  }
+  ASSERT_NE(plane, nullptr) << "no plane with two erased blocks";
+  const std::size_t ids = plane->list_at + 8;
+  const auto cursor = static_cast<std::uint32_t>(plane->records.size());
+  expect_rejected(
+      churned_payload, [&](auto& b) { write_u32_at(b, ids, cursor); },
+      "at or above the cursor");
+  expect_rejected(
+      churned_payload,
+      [&](auto& b) { write_u32_at(b, ids + 4, read_u32_at(b, ids)); },
+      "repeats block");
+  std::uint32_t busy = 0;
+  while (plane->records.at(busy).state == 0) ++busy;
+  expect_rejected(
+      churned_payload, [&](auto& b) { write_u32_at(b, ids, busy); },
+      "not Free");
+}
+
+TEST(DeviceSnapshot, BlockStateIndependentOfCapacity) {
+  // A label-sweep prefix: no block has been erased at the fork point, so
+  // the opened blocks are the same whatever the plane's capacity.
+  const auto requests = pipeline_workload();
+  const auto cut = static_cast<std::uint64_t>(
+      0.7 * static_cast<double>(requests.size()));
+  struct Outcome {
+    std::size_t blkm_bytes;
+    std::size_t snapshot_bytes;
+    core::RunResult result;
+  };
+  auto run = [&](const sim::Geometry& geometry) {
+    core::RunConfig config;
+    config.ssd.geometry = geometry;
+    auto device = device_at(requests, 4, config, cut);
+    EXPECT_EQ(core::summarize(*device).counters.erases, 0u);
+    snapshot::StateWriter blkm;
+    device->ftl().blocks().save_state(blkm);
+    Outcome out{blkm.size(), snapshot::save_device(*device).size(), {}};
+    device->run_to_completion();
+    out.result = core::summarize(*device);
+    return out;
+  };
+  sim::Geometry wide = sim::Geometry::small();
+  wide.blocks_per_plane *= 16;
+  const Outcome small = run(sim::Geometry::small());
+  const Outcome big = run(wide);
+  const Outcome paper = run(sim::Geometry::paper());
+  EXPECT_EQ(small.blkm_bytes, big.blkm_bytes);
+  EXPECT_LT(paper.snapshot_bytes, 5u * 1000 * 1000);
+
+  for (const Outcome* other : {&big, &paper}) {
+    const core::RunResult& a = small.result;
+    const core::RunResult& b = other->result;
+    EXPECT_EQ(a.total_us, b.total_us);
+    EXPECT_EQ(a.avg_read_us, b.avg_read_us);
+    EXPECT_EQ(a.avg_write_us, b.avg_write_us);
+    EXPECT_EQ(a.p99_read_us, b.p99_read_us);
+    EXPECT_EQ(a.p99_write_us, b.p99_write_us);
+    EXPECT_EQ(a.counters.page_ops, b.counters.page_ops);
+    EXPECT_EQ(a.counters.conflicts, b.counters.conflicts);
+    EXPECT_EQ(a.counters.erases, b.counters.erases);
+    ASSERT_EQ(a.per_tenant.size(), b.per_tenant.size());
+    for (const auto& [tenant, m] : a.per_tenant) {
+      EXPECT_EQ(m.read_latency_us.samples(),
+                b.per_tenant.at(tenant).read_latency_us.samples());
+      EXPECT_EQ(m.write_latency_us.samples(),
+                b.per_tenant.at(tenant).write_latency_us.samples());
+    }
+  }
 }
 
 TEST(DeviceSnapshotFile, RoundTripAndCorruptionDetection) {

@@ -244,33 +244,71 @@ TEST(SsdInvariants, DetectsMappedCountDrift) {
 }
 
 // --- block manager ------------------------------------------------------------
+//
+// The BLKM loader validates every field, so block-level corruption is
+// refused at load time with a SnapshotError instead of surfacing in the
+// audit afterwards.
+
+/// Serialize `device`, let `corrupt` patch the raw payload, and require
+/// that loading it into a fresh device fails with a SnapshotError.
+void expect_load_rejected(
+    const Ssd& device, const std::function<void(std::vector<char>&)>& corrupt,
+    const char* label) {
+  snapshot::StateWriter w;
+  device.save_state(w);
+  std::vector<char> bytes = w.take();
+  corrupt(bytes);
+
+  Ssd reloaded(tiny_options());
+  snapshot::StateReader r(bytes);
+  EXPECT_THROW(reloaded.load_state(r), snapshot::SnapshotError) << label;
+}
+
+/// Offset of plane 0's free list (its u64 length) in a tiny-geometry BLKM
+/// section: tag, u64 retired, u64 plane count, u64 cursor, then per block
+/// a 19-byte record, one validity word and one u64 owner per valid page,
+/// then the i64 open block.
+std::size_t plane0_free_list(const std::vector<char>& bytes) {
+  std::size_t pos = find_tag(bytes, "BLKM") + 4 + 8 + 8;
+  const std::uint64_t cursor = read_u64(bytes, pos);
+  pos += 8;
+  for (std::uint64_t b = 0; b < cursor; ++b) {
+    std::uint32_t valid = 0;
+    std::memcpy(&valid, bytes.data() + pos + 4, 4);
+    pos += 19 + 8 + std::size_t{8} * valid;
+  }
+  return pos + 8;
+}
 
 TEST(SsdInvariants, DetectsValidCounterCorruption) {
   auto device = busy_device();
-  expect_corruption_detected(
+  expect_load_rejected(
       *device,
       [](std::vector<char>& bytes) {
-        // BLKM: tag, u64 retired, u64 nblocks, then 19-byte records
-        // (u32 write_ptr, u32 valid, u64 erases, u8 state, u8, u8).
+        // Plane 0's first block record follows the tag, the retired and
+        // plane counts and the plane's cursor: u32 write_ptr, u32 valid.
         const std::size_t blkm = find_tag(bytes, "BLKM");
-        const std::size_t valid_pos = blkm + 4 + 8 + 8 + 4;
+        const std::size_t valid_pos = blkm + 4 + 8 + 8 + 8 + 4;
         write_u32(bytes, valid_pos, 7'777);
       },
       "block valid counter");
 }
 
 TEST(SsdInvariants, DetectsFreeListDuplicate) {
-  auto device = busy_device();
-  expect_corruption_detected(
+  // Overwrites cycle blocks through GC, so plane 0's free list holds
+  // erased blocks. Duplicate its first entry into its second slot.
+  auto device = std::make_unique<Ssd>(tiny_options());
+  std::vector<sim::IoRequest> reqs;
+  for (std::uint64_t i = 0; i < 600; ++i) {
+    reqs.push_back(
+        make_req(i, 0, sim::OpType::kWrite, i % 24, 1, 2'000'000 * i));
+  }
+  device->submit(reqs);
+  device->run_to_completion();
+  expect_load_rejected(
       *device,
       [](std::vector<char>& bytes) {
-        // Plane free lists follow the block records: u64 plane count,
-        // then per plane vec_u32 free_list + i64 open_block. Duplicate
-        // the first plane's first free block into its second slot.
-        const std::size_t blkm = find_tag(bytes, "BLKM");
-        const std::uint64_t nblocks = read_u64(bytes, blkm + 12);
-        const std::size_t planes_pos = blkm + 20 + nblocks * 19;
-        const std::size_t list_size_pos = planes_pos + 8;
+        const std::size_t list_size_pos = plane0_free_list(bytes);
         const std::uint64_t list_len = read_u64(bytes, list_size_pos);
         ASSERT_GE(list_len, 2u) << "need two free blocks to duplicate";
         std::uint32_t first = 0;
