@@ -1,7 +1,8 @@
 #include "core/keeper.hpp"
 
-#include <limits>
 #include <stdexcept>
+
+#include "core/trial.hpp"
 
 namespace ssdk::core {
 
@@ -37,32 +38,17 @@ std::uint32_t SsdKeeper::measure_best(
     const ssd::Ssd& device, std::span<const std::uint32_t> candidates,
     std::span<const TenantProfile> profiles) {
   what_if_.clear();
-  const std::size_t n = candidates.size();
-  std::vector<double> scores(n);
-  const auto trial = [&](std::size_t i) {
-    scores[i] = score_fork_trial(device, [&](ssd::Ssd& forked) {
-      configure_ssd(forked, allocator_.space().at(candidates[i]), profiles,
-                    config_.hybrid_page_allocation);
-    });
-  };
-  if (config_.what_if_pool != nullptr && n > 1) {
-    parallel_for(*config_.what_if_pool, n, trial);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) trial(i);
-  }
-
-  // Serial argmin in candidate order: ties keep the earliest candidate
-  // (the allocator's higher-confidence prediction) at any thread count.
-  std::uint32_t best = candidates.front();
-  double best_score = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < n; ++i) {
+  const auto scores =
+      run_trials(config_.what_if_pool, candidates.size(), [&](std::size_t i) {
+        return score_fork_trial(device, [&](ssd::Ssd& forked) {
+          configure_ssd(forked, allocator_.space().at(candidates[i]),
+                        profiles, config_.hybrid_page_allocation);
+        });
+      });
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
     what_if_.emplace_back(candidates[i], scores[i]);
-    if (scores[i] < best_score) {
-      best_score = scores[i];
-      best = candidates[i];
-    }
   }
-  return best;
+  return candidates[first_argmin(scores)];
 }
 
 void SsdKeeper::apply(ssd::Ssd& device, SimTime at) {

@@ -68,9 +68,9 @@ struct KeeperConfig {
   std::uint32_t what_if_top_k = 0;
   /// Optional pool for the what-if fork trials: each candidate's fork
   /// replays the remaining work on its own worker (nullptr = serial).
-  /// Every trial writes only its own score slot and the argmin scans the
-  /// slots in candidate order afterwards, so the chosen strategy is
-  /// identical at any thread count. Non-owning; must outlive the keeper.
+  /// The trials fan out through core::run_trials and first_argmin picks
+  /// the winner in candidate order (core/trial.hpp), so the chosen strategy
+  /// is identical at any thread count. Non-owning; must outlive the keeper.
   ThreadPool* what_if_pool = nullptr;
   /// p99 regression watchdog. 0 disables. Otherwise, after every strategy
   /// *change*, read/write completions over the next `watchdog_window_ns`
@@ -140,7 +140,8 @@ class SsdKeeper {
   std::vector<TenantProfile> recovery_profiles() const;
   /// Fork the device per candidate, replay the remaining work under it,
   /// and return the index (into the strategy space) with the lowest
-  /// measured suffix latency. Fills what_if_.
+  /// measured suffix latency; ties and all-+infinity scores keep the
+  /// first candidate, the allocator's most confident. Fills what_if_.
   std::uint32_t measure_best(const ssd::Ssd& device,
                              std::span<const std::uint32_t> candidates,
                              std::span<const TenantProfile> profiles);

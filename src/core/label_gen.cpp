@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
+#include <cmath>
+#include <stdexcept>
+#include <utility>
 
+#include "core/trial.hpp"
 #include "trace/mixer.hpp"
 #include "trace/synthetic.hpp"
 #include "util/rng.hpp"
@@ -12,8 +15,12 @@ namespace ssdk::core {
 
 namespace {
 
-/// Request index where the sweep's strategy takes effect.
+/// Request index where the sweep's strategy takes effect. Fork points
+/// outside [0, 1] clamp; NaN would make the cast undefined, so it throws.
 std::uint64_t switch_index(std::size_t request_count, double fork_point) {
+  if (std::isnan(fork_point)) {
+    throw std::invalid_argument("label_workload: fork_point is NaN");
+  }
   if (fork_point <= 0.0) return 0;
   return static_cast<std::uint64_t>(std::min(fork_point, 1.0) *
                                     static_cast<double>(request_count));
@@ -34,14 +41,11 @@ LabeledSample label_workload(std::span<const sim::IoRequest> requests,
                              const StrategySpace& space,
                              const LabelGenConfig& config,
                              ThreadPool* pool) {
+  const std::uint64_t switch_at =
+      switch_index(requests.size(), config.fork_point);
   LabeledSample sample;
   sample.features = features_of(requests, config.features);
   const auto profiles = sample.features.profiles(space.tenants());
-  sample.strategy_total_us.assign(space.size(), 0.0);
-  sample.strategy_score.assign(space.size(), 0.0);
-
-  const std::uint64_t switch_at =
-      switch_index(requests.size(), config.fork_point);
 
   // Fairness labels score each strategy by its worst tenant slowdown, so
   // the per-tenant isolated baselines are computed once up front (they
@@ -63,97 +67,29 @@ LabeledSample label_workload(std::span<const sim::IoRequest> requests,
       prefix->run_until_arrival(switch_at);
     } catch (const ftl::DeviceFullError&) {
       // The device filled up before the switch point; the prefix state is
-      // mid-unwind and not resumable. Fall back to cold per-strategy runs,
-      // which each degrade gracefully via summarize_device_full.
+      // mid-unwind and not resumable. Fall back to the cold sweep, whose
+      // runs each degrade gracefully via summarize_device_full.
       prefix.reset();
     }
   }
 
-  // Objective value of a finished (or gracefully aborted) run.
-  const auto score_of = [&](const RunResult& r) {
+  // The label's argmin key of a finished (or gracefully aborted) run: the
+  // objective's score, then total latency to break ties.
+  using Key = std::pair<double, double>;
+  const auto key_of = [&](RunResult r) -> Key {
     switch (config.objective) {
       case LabelObjective::kTotalLatency:
-        return r.total_us;
+        return {r.total_us, r.total_us};
       case LabelObjective::kSloViolations:
-        return static_cast<double>(r.slo_violations);
+        return {static_cast<double>(r.slo_violations), r.total_us};
       case LabelObjective::kFairness:
         break;
     }
     // Worst tenant slowdown; a run with no baselined tenants degenerates
     // to total latency so the argmin stays well-defined.
-    double worst = 0.0;
-    bool any = false;
-    for (const auto& [id, t] : r.per_tenant) {
-      if (id == sim::kInternalTenant) continue;
-      const auto it = baselines.find(id);
-      if (it == baselines.end() || it->second <= 0.0) continue;
-      worst = std::max(worst, t.total_us() / it->second);
-      any = true;
-    }
-    return any ? worst : r.total_us;
-  };
-
-  struct Scored {
-    double total_us;
-    double score;
-  };
-  const auto scored = [&](const RunResult& r) {
-    return Scored{r.total_us, score_of(r)};
-  };
-
-  // Drive one configured device to completion and score it. Under the
-  // latency objective the score is total_us only, read from the metrics'
-  // running sums — the full RunResult summary (sample copies, percentile
-  // selection) is pure overhead there and this lambda runs once per
-  // (workload, strategy). The other objectives need the per-tenant
-  // breakdown, so they pay for the full summary.
-  const auto run_and_score = [&](ssd::Ssd& device) {
-    if (config.objective == LabelObjective::kTotalLatency) {
-      try {
-        device.run_to_completion();
-        const double us = summarize_total_us(device);
-        return Scored{us, us};
-      } catch (const ftl::DeviceFullError& e) {
-        const double us =
-            summarize_device_full(device, e, "label_gen").total_us;
-        return Scored{us, us};
-      }
-    }
-    try {
-      device.run_to_completion();
-      return scored(summarize(device));
-    } catch (const ftl::DeviceFullError& e) {
-      return scored(summarize_device_full(device, e, "label_gen"));
-    }
-  };
-
-  const auto record = [&](std::size_t i, Scored s) {
-    sample.strategy_total_us[i] = s.total_us;
-    sample.strategy_score[i] = s.score;
-  };
-
-  const auto evaluate = [&](std::size_t i) {
-    if (prefix) {
-      auto device = prefix->fork();
-      configure_ssd(*device, space.at(i), profiles,
-                    config.run.hybrid_page_allocation);
-      record(i, run_and_score(*device));
-      return;
-    }
-    auto device = make_run_device(
-        requests, switch_at == 0 ? space.at(i) : config.base_strategy,
-        profiles, config.run);
-    if (switch_at != 0) {
-      try {
-        device->run_until_arrival(switch_at);
-      } catch (const ftl::DeviceFullError& e) {
-        record(i, scored(summarize_device_full(*device, e, "label_gen")));
-        return;
-      }
-      configure_ssd(*device, space.at(i), profiles,
-                    config.run.hybrid_page_allocation);
-    }
-    record(i, run_and_score(*device));
+    apply_fairness(r, baselines);
+    return {r.tenant_slowdown.empty() ? r.total_us : r.worst_slowdown,
+            r.total_us};
   };
 
   // The per-tenant channel sets are configure_ssd's only strategy-dependent
@@ -161,49 +97,59 @@ LabeledSample label_workload(std::span<const sim::IoRequest> requests,
   // configure identical devices. Four-part compositions are assigned
   // largest-first by intensity, so on 8 channels the 42 four-tenant
   // strategies give only 12 distinct maps (a 2-tenant space's 8 are all
-  // distinct). Run the first strategy of each map and copy its result to
+  // distinct). Run the first strategy of each map and copy its key to
   // the others; with so few maps a linear scan finds them.
-  std::vector<std::size_t> first_with_map(space.size());
-  std::vector<std::size_t> distinct;
-  {
-    std::vector<std::vector<std::vector<std::uint32_t>>> maps;
-    for (std::size_t i = 0; i < space.size(); ++i) {
-      auto map = assign_channels(space.at(i), profiles,
-                                 config.run.ssd.geometry.channels);
-      const auto k = static_cast<std::size_t>(
-          std::find(maps.begin(), maps.end(), map) - maps.begin());
-      if (k == maps.size()) {
-        maps.push_back(std::move(map));
-        distinct.push_back(i);
-      }
-      first_with_map[i] = distinct[k];
-    }
-  }
-
-  if (pool != nullptr) {
-    parallel_for(*pool, distinct.size(),
-                 [&](std::size_t k) { evaluate(distinct[k]); });
-  } else {
-    for (const std::size_t i : distinct) evaluate(i);
-  }
+  std::vector<std::vector<std::vector<std::uint32_t>>> maps;
+  std::vector<std::size_t> distinct;  // first strategy of each map
+  std::vector<std::size_t> map_of(space.size());
   for (std::size_t i = 0; i < space.size(); ++i) {
-    sample.strategy_total_us[i] = sample.strategy_total_us[first_with_map[i]];
-    sample.strategy_score[i] = sample.strategy_score[first_with_map[i]];
-  }
-
-  // Argmin over the objective; ties fall back to total latency, then to
-  // the lower index. Under kTotalLatency score == total_us, so this keeps
-  // the legacy first-min labels bit-for-bit.
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < space.size(); ++i) {
-    const double s = sample.strategy_score[i];
-    const double b = sample.strategy_score[best];
-    if (s < b || (s == b && sample.strategy_total_us[i] <
-                                sample.strategy_total_us[best])) {
-      best = i;
+    auto map = assign_channels(space.at(i), profiles,
+                               config.run.ssd.geometry.channels);
+    map_of[i] = static_cast<std::size_t>(
+        std::find(maps.begin(), maps.end(), map) - maps.begin());
+    if (map_of[i] == maps.size()) {
+      maps.push_back(std::move(map));
+      distinct.push_back(i);
     }
   }
-  sample.label = static_cast<std::uint32_t>(best);
+
+  const auto map_keys = run_trials(pool, distinct.size(), [&](std::size_t k) {
+    const Strategy& strategy = space.at(distinct[k]);
+    if (!prefix) {
+      return key_of(run_with_strategy_switch(requests, config.base_strategy,
+                                             strategy, switch_at, profiles,
+                                             config.run));
+    }
+    const auto device = prefix->fork();
+    configure_ssd(*device, strategy, profiles,
+                  config.run.hybrid_page_allocation);
+    try {
+      device->run_to_completion();
+    } catch (const ftl::DeviceFullError& e) {
+      return key_of(summarize_device_full(*device, e, "label_gen"));
+    }
+    // Under the latency objective the key is total_us only, read from the
+    // metrics' running sums: the full summary (sample copies, percentile
+    // selection) is pure overhead on this path, which runs once per
+    // (workload, channel map). The other objectives need the per-tenant
+    // breakdown, so they pay for the full summary.
+    if (config.objective == LabelObjective::kTotalLatency) {
+      const double us = summarize_total_us(*device);
+      return Key{us, us};
+    }
+    return key_of(summarize(*device));
+  });
+
+  // Objective first, then total latency, then the lower index. Under
+  // kTotalLatency both fields are total_us, so this keeps the legacy
+  // first-min labels bit-for-bit.
+  std::vector<Key> keys;
+  for (const std::size_t k : map_of) {
+    keys.push_back(map_keys[k]);
+    sample.strategy_score.push_back(map_keys[k].first);
+    sample.strategy_total_us.push_back(map_keys[k].second);
+  }
+  sample.label = static_cast<std::uint32_t>(first_argmin(keys));
   return sample;
 }
 

@@ -43,12 +43,13 @@ struct LabelGenConfig {
   /// `base_strategy` before each candidate strategy takes effect — the
   /// fork-at-decision methodology. 0 (default) keeps the legacy cold-start
   /// semantics where every strategy governs the run from time zero.
+  /// Values below 0 or above 1 clamp; NaN is rejected by label_workload.
   double fork_point = 0.0;
   /// Simulate the warm-up prefix once and fork() the device per distinct
   /// channel map (see label_workload) instead of re-simulating the prefix
-  /// for each of them. Produces the *same* LabeledSample (labels and
-  /// per-strategy latencies) as the cold sweep at the same fork_point;
-  /// only wall-clock changes.
+  /// for each of them (the cold sweep). Produces the *same* LabeledSample
+  /// (labels and per-strategy latencies) as the cold sweep at the same
+  /// fork_point; only wall-clock changes.
   bool shared_prefix_fork = false;
   /// Strategy governing the shared warm-up prefix (default: Shared).
   Strategy base_strategy{};
@@ -71,8 +72,10 @@ struct LabeledSample {
 /// identical devices, so only the first of each such group is simulated
 /// and its result is copied to the others: a 4-tenant sweep on 8 channels
 /// runs 12 simulations for its 42 strategies, a 2-tenant sweep all 8.
-/// Every entry equals a run of its own strategy. When `pool` is non-null
-/// the simulations run in parallel (each on its own device).
+/// Every entry equals run_with_strategy_switch(base_strategy, strategy) at
+/// the fork point. The simulations are core::run_trials on `pool` (each
+/// on its own device) and the label is their first_argmin. Throws
+/// std::invalid_argument on a NaN fork_point, before any replay.
 LabeledSample label_workload(std::span<const sim::IoRequest> requests,
                              const StrategySpace& space,
                              const LabelGenConfig& config,

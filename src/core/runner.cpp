@@ -57,13 +57,8 @@ RunResult run_with_strategy(std::span<const sim::IoRequest> requests,
                             const Strategy& strategy,
                             std::span<const TenantProfile> profiles,
                             const RunConfig& config) {
-  auto device = make_run_device(requests, strategy, profiles, config);
-  try {
-    device->run_to_completion();
-  } catch (const ftl::DeviceFullError& e) {
-    return summarize_device_full(*device, e, "runner");
-  }
-  return summarize(*device);
+  return run_with_strategy_switch(requests, strategy, strategy, 0, profiles,
+                                  config);
 }
 
 RunResult run_with_strategy_switch(std::span<const sim::IoRequest> requests,
@@ -72,14 +67,15 @@ RunResult run_with_strategy_switch(std::span<const sim::IoRequest> requests,
                                    std::uint64_t switch_at,
                                    std::span<const TenantProfile> profiles,
                                    const RunConfig& config) {
-  auto device = make_run_device(requests, base, profiles, config);
+  // Without a prefix, build for `strategy` directly: stopping before
+  // arrival 0 to reconfigure could already fire a scheduled power cut.
+  auto device = make_run_device(requests, switch_at == 0 ? strategy : base,
+                                profiles, config);
   try {
-    device->run_until_arrival(switch_at);
-  } catch (const ftl::DeviceFullError& e) {
-    return summarize_device_full(*device, e, "runner");
-  }
-  configure_ssd(*device, strategy, profiles, config.hybrid_page_allocation);
-  try {
+    if (switch_at > 0) {
+      device->run_until_arrival(switch_at);
+      configure_ssd(*device, strategy, profiles, config.hybrid_page_allocation);
+    }
     device->run_to_completion();
   } catch (const ftl::DeviceFullError& e) {
     return summarize_device_full(*device, e, "runner");

@@ -3,7 +3,6 @@
 // reports.
 #pragma once
 
-#include <limits>
 #include <map>
 #include <memory>
 #include <span>
@@ -94,9 +93,9 @@ std::unique_ptr<ssd::Ssd> make_run_device(
     std::span<const TenantProfile> profiles, const RunConfig& config);
 
 /// Run the stream with `base` governing the first `switch_at` requests and
-/// `strategy` taking over from request index `switch_at` onward (the
-/// fork-at-decision methodology, executed cold). switch_at = 0 degenerates
-/// to run_with_strategy(strategy).
+/// `strategy` taking over from request index `switch_at` onward: the
+/// fork-at-decision methodology executed cold, the label sweep's cold
+/// engine. switch_at = 0 degenerates to run_with_strategy(strategy).
 RunResult run_with_strategy_switch(std::span<const sim::IoRequest> requests,
                                    const Strategy& base,
                                    const Strategy& strategy,
@@ -109,39 +108,9 @@ RunResult summarize(const ssd::Ssd& device);
 
 /// total_us only (avg read + avg write), from the metrics' running sums —
 /// same value summarize().total_us reports, without copying any latency
-/// samples or computing percentiles. The label sweep's per-strategy score
-/// needs nothing else, and it runs once per (workload, strategy) pair.
+/// samples or computing percentiles. Under the latency objective the label
+/// sweep's fork trials need nothing else, once per distinct channel map.
 double summarize_total_us(const ssd::Ssd& device);
-
-/// Suffix-latency score of one what-if trial: fork `device`, let `apply`
-/// change the fork (a strategy switch, injected requests), run it to
-/// completion, and return the average read plus average write latency
-/// (µs) of the pages completed after the fork point — the part of the run
-/// the change can still influence, not the history it cannot. A trial
-/// that fills the device scores +infinity. The keeper's top-k measurement
-/// and fleet migration trials both score this way.
-template <typename Apply>
-double score_fork_trial(const ssd::Ssd& device, Apply&& apply) {
-  // aggregate_sums reads the running sums in O(tenants) instead of
-  // copying every latency sample.
-  const sim::LatencySums before = device.metrics().aggregate_sums();
-  const std::unique_ptr<ssd::Ssd> forked = device.fork();
-  try {
-    apply(*forked);
-    forked->run_to_completion();
-  } catch (const ftl::DeviceFullError&) {
-    return std::numeric_limits<double>::infinity();
-  }
-  const sim::LatencySums after = forked->metrics().aggregate_sums();
-  const double reads = static_cast<double>(after.reads - before.reads);
-  const double writes = static_cast<double>(after.writes - before.writes);
-  const double suffix_read =
-      reads > 0.0 ? (after.read_sum_us - before.read_sum_us) / reads : 0.0;
-  const double suffix_write =
-      writes > 0.0 ? (after.write_sum_us - before.write_sum_us) / writes
-                   : 0.0;
-  return suffix_read + suffix_write;
-}
 
 /// Degrade a device-full abort gracefully: bump the failure counter, warn
 /// once through util/logger with `context` ("runner", "keeper", ...), and

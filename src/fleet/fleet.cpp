@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "core/features.hpp"
+#include "core/trial.hpp"
 #include "ftl/ftl.hpp"
 #include "sched/fairness.hpp"
 
@@ -295,7 +295,7 @@ void consolidate(ThreadPool& pool, std::vector<DeviceState>& states,
     // Trial i > 0: candidate i-1 replays its next epoch plus the victim's.
     // Each task forks a different device and writes only its own score.
     const auto scores =
-        parallel_map(pool, candidates.size() + 1, [&](std::size_t i) {
+        core::run_trials(&pool, candidates.size() + 1, [&](std::size_t i) {
           const DeviceState& st = i == 0 ? src : states[candidates[i - 1]];
           auto trial = next_epoch_preview(st, specs, config, next_epoch);
           if (i > 0) {
@@ -307,35 +307,27 @@ void consolidate(ThreadPool& pool, std::vector<DeviceState>& states,
           truncate_trial(trial, config.migration.trial_requests);
           return score_placement(*st.device, trial);
         });
-    const double stay_score = scores[0];
+    // Staying is trial 0 and ties keep the lower index, so a move must
+    // measure strictly better than staying.
+    const std::size_t best = core::first_argmin(scores);
+    if (best == 0) continue;
+    const std::uint32_t best_device = candidates[best - 1];
+    const std::uint32_t best_slot = free_slots[best - 1];
 
+    // Commit: retire the source slot, occupy the destination slot, and
+    // queue the (capped) copy traffic for the next epoch start.
     MigrationRecord record;
     record.epoch = epoch;
     record.tenant = tenant_id;
     record.from_device = d;
     record.from_slot = vslot;
-    record.stay_score_us = stay_score;
-
-    std::uint32_t best_device = 0;
-    std::uint32_t best_slot = 0;
-    double best_score = std::numeric_limits<double>::infinity();
+    record.stay_score_us = scores[0];
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const double score = scores[i + 1];
-      record.trials.push_back({candidates[i], score});
-      if (score < best_score) {
-        best_score = score;
-        best_device = candidates[i];
-        best_slot = free_slots[i];
-      }
+      record.trials.push_back({candidates[i], scores[i + 1]});
     }
-
-    if (best_score >= stay_score) continue;  // staying measured no worse
-
-    // Commit: retire the source slot, occupy the destination slot, and
-    // queue the (capped) copy traffic for the next epoch start.
     record.to_device = best_device;
     record.to_slot = best_slot;
-    record.move_score_us = best_score;
+    record.move_score_us = scores[best];
     record.footprint_pages = src.footprint_pages[vslot];
     record.injected_pages =
         std::min<std::uint64_t>(record.footprint_pages,
@@ -517,20 +509,8 @@ FleetResult run_fleet(const FleetConfig& config,
   std::vector<TenantLoad> loads;
   loads.reserve(tenants.size());
   for (const auto& spec : tenants) {
-    const auto records =
-        epoch_records(spec, config.seed, 0, config.epoch_ns);
-    std::vector<sim::IoRequest> reqs;
-    reqs.reserve(records.size());
-    for (const auto& r : records) {
-      sim::IoRequest req;
-      req.tenant = spec.id;
-      req.type = r.type;
-      req.lpn = r.lpn;
-      req.page_count = r.pages;
-      req.arrival = r.arrival;
-      reqs.push_back(req);
-    }
-    const auto stats = core::per_tenant_stats(reqs);
+    const auto stats = core::per_tenant_stats(records_to_requests(
+        epoch_records(spec, config.seed, 0, config.epoch_ns), spec.id));
     TenantLoad load;
     load.tenant = spec.id;
     if (!stats.empty()) load = load_of(spec.id, stats.front());

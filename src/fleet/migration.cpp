@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/runner.hpp"
+#include "core/trial.hpp"
 
 namespace ssdk::fleet {
 

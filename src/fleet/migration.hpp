@@ -10,7 +10,8 @@
 // trial slice of the would-be-migrated tenant's upcoming traffic next to
 // the destination's own — the same what-if methodology as the keeper's
 // fork-measured mode, so a migration is committed only when the measured
-// trial beats staying put.
+// trial beats staying put. The trials share the keeper's fan-out, argmin
+// and suffix-latency score (core/trial.hpp).
 #pragma once
 
 #include <cstdint>
@@ -54,9 +55,9 @@ std::vector<bool> detect_hot_devices(
 
 /// What-if trial: fork `device`, replay `trial` on the fork, and return
 /// the mean total latency (avg read + avg write, us) of the trial's
-/// completions — the suffix the trial adds beyond the parent's history.
-/// A trial that fills the device scores +infinity. The parent is not
-/// mutated; the fork is discarded.
+/// completions — the suffix the trial adds beyond the parent's history
+/// (core::score_fork_trial). A trial that fills the device scores
+/// +infinity. The parent is not mutated; the fork is discarded.
 double score_placement(const ssd::Ssd& device,
                        std::span<const sim::IoRequest> trial);
 

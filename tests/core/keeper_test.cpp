@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "trace/mixer.hpp"
 #include "trace/synthetic.hpp"
 
@@ -176,6 +178,40 @@ TEST(Keeper, WhatIfMeasuresTopKAndAppliesMeasuredBest) {
     }
   }
   EXPECT_EQ(keeper.chosen_strategy()->name(), space.at(best).name());
+}
+
+/// When every what-if fork fills the device, all trials score +infinity
+/// and the keeper applies the allocator's first candidate.
+TEST(Keeper, WhatIfAllTrialsFullKeepsFirstCandidate) {
+  const auto space = StrategySpace::for_tenants(4);
+  const auto allocator = constant_allocator(
+      space, static_cast<std::uint32_t>(space.index_of("4:2:1:1")));
+  KeeperConfig config;
+  config.collect_window_ns = 1 * kMillisecond;
+  config.what_if_top_k = 3;
+  // 8 channels of 32 pages each with GC off: the rest of the mix fits
+  // under no strategy.
+  ssd::SsdOptions options;
+  options.geometry = sim::Geometry::tiny();
+  options.geometry.channels = 8;
+  options.geometry.blocks_per_plane = 4;
+  options.gc_enabled = false;
+
+  ssd::Ssd device{options};
+  SsdKeeper keeper(allocator, config);
+  keeper.attach(device);
+  device.submit(four_tenant_mix(2000));
+  EXPECT_THROW(device.run_to_completion(), ftl::DeviceFullError);
+
+  ASSERT_TRUE(keeper.switched());
+  const auto& measured = keeper.what_if_measurements();
+  ASSERT_EQ(measured.size(), 3u);
+  EXPECT_EQ(measured.front().first, space.index_of("4:2:1:1"));
+  for (const auto& [index, score] : measured) {
+    EXPECT_EQ(score, std::numeric_limits<double>::infinity())
+        << space.at(index).name();
+  }
+  EXPECT_EQ(keeper.chosen_strategy()->name(), "4:2:1:1");
 }
 
 TEST(Keeper, WhatIfDisabledLeavesMeasurementsEmpty) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 
 namespace ssdk::core {
 namespace {
@@ -180,6 +182,69 @@ TEST(LabelGen, EveryStrategyMatchesItsOwnRun) {
         }
       }
     }
+  }
+}
+
+/// A NaN fork point has no place in the request order: it is rejected
+/// before any replay instead of being cast into an arbitrary switch index.
+/// Out-of-range fork points still clamp to the ends of the stream.
+TEST(LabelGen, RejectsNanForkPoint) {
+  const auto config = small_config();
+  const auto requests = synthesize_mix(config, 1);
+  const auto space = StrategySpace::for_tenants(4);
+  LabelGenConfig label = config.label;
+  for (const bool fork : {false, true}) {
+    label.shared_prefix_fork = fork;
+    label.fork_point = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(label_workload(requests, space, label, nullptr),
+                 std::invalid_argument);
+  }
+  const auto at = [&](double fork_point) {
+    label.fork_point = fork_point;
+    return label_workload(requests, space, label, nullptr).strategy_total_us;
+  };
+  EXPECT_EQ(at(-0.5), at(0.0));
+  EXPECT_EQ(at(1.5), at(1.0));
+}
+
+/// A shared prefix that fills the device cannot be forked, so the fork
+/// sweep falls back to the cold sweep, whose runs all stop at the same
+/// device-full abort before the switch point.
+TEST(LabelGen, PrefixThatFillsDeviceMatchesColdSweep) {
+  const auto config = small_config();
+  const auto requests = synthesize_mix(config, 1);
+  const auto space = StrategySpace::for_tenants(4);
+  LabelGenConfig cold = config.label;
+  // 8 channels of 32 pages each, GC off.
+  cold.run.ssd.geometry = sim::Geometry::tiny();
+  cold.run.ssd.geometry.channels = 8;
+  cold.run.ssd.geometry.blocks_per_plane = 4;
+  cold.run.ssd.gc_enabled = false;
+  cold.fork_point = 0.9;
+  cold.shared_prefix_fork = false;
+  LabelGenConfig fork = cold;
+  fork.shared_prefix_fork = true;
+
+  const auto profiles = features_of(requests, cold.features).profiles(4);
+  const auto switch_at = static_cast<std::uint64_t>(
+      cold.fork_point * static_cast<double>(requests.size()));
+  EXPECT_THROW(
+      make_run_device(requests, cold.base_strategy, profiles, cold.run)
+          ->run_until_arrival(switch_at),
+      ftl::DeviceFullError);
+
+  const LabeledSample a = label_workload(requests, space, cold, nullptr);
+  const LabeledSample b = label_workload(requests, space, fork, nullptr);
+  EXPECT_EQ(a.label, b.label);
+  EXPECT_EQ(a.strategy_total_us, b.strategy_total_us);
+  EXPECT_EQ(a.strategy_score, b.strategy_score);
+  ASSERT_EQ(a.strategy_total_us.size(), space.size());
+  for (std::size_t i = 0; i < space.size(); ++i) {
+    const RunResult own =
+        run_with_strategy_switch(requests, cold.base_strategy, space.at(i),
+                                 switch_at, profiles, cold.run);
+    EXPECT_TRUE(own.device_full) << space.at(i).name();
+    EXPECT_EQ(a.strategy_total_us[i], own.total_us) << space.at(i).name();
   }
 }
 

@@ -125,6 +125,39 @@ TEST(LabelObjective, FairnessObjectivePicksItsOwnArgmin) {
   EXPECT_NE(sample.strategy_score, sample.strategy_total_us);
 }
 
+// When no tenant has an isolated baseline the slowdown is undefined, and
+// the fairness score falls back to total latency.
+TEST(LabelObjective, FairnessWithoutBaselinesScoresTotalLatency) {
+  // Two heavy writers on a 256-page device with GC off: each one fills
+  // it even alone, so neither gets a baseline.
+  std::vector<trace::Workload> workloads;
+  for (std::uint32_t t = 0; t < 2; ++t) {
+    trace::SyntheticSpec spec;
+    spec.write_fraction = 0.9;
+    spec.request_count = 400;
+    spec.intensity_rps = 5'000.0;
+    spec.mean_request_pages = 4.0;
+    spec.address_space_pages = 4096;
+    spec.seed = 21 + t;
+    workloads.push_back(trace::generate_synthetic(spec));
+  }
+  const auto requests = trace::mix_workloads(workloads);
+  const StrategySpace space = StrategySpace::for_tenants(2);
+  LabelGenConfig config;
+  config.run.ssd.geometry = sim::Geometry::tiny();
+  config.run.ssd.geometry.channels = 8;
+  config.run.ssd.geometry.blocks_per_plane = 4;
+  config.run.ssd.gc_enabled = false;
+  config.objective = LabelObjective::kFairness;
+  const auto profiles =
+      features_of(requests, config.features).profiles(space.tenants());
+  ASSERT_TRUE(isolated_baselines(requests, profiles, config.run).empty());
+
+  const LabeledSample sample = label_workload(requests, space, config);
+  for (const double us : sample.strategy_total_us) EXPECT_GT(us, 0.0);
+  EXPECT_EQ(sample.strategy_score, sample.strategy_total_us);
+}
+
 /// One scheduler-shaped sweep, swept at several pool widths; every
 /// product (label, latencies, scores) must be bit-identical.
 void expect_pool_invariant_sweep(sched::Policy policy) {
