@@ -9,6 +9,7 @@
 #include "core/trial.hpp"
 #include "ftl/ftl.hpp"
 #include "sched/fairness.hpp"
+#include "telemetry/tracer.hpp"
 
 namespace ssdk::fleet {
 
@@ -532,8 +533,7 @@ FleetResult run_fleet(const FleetConfig& config,
       st.faulty = true;
     }
     st.device = std::make_unique<ssd::Ssd>(options);
-    st.tracer = std::make_unique<telemetry::Tracer>(telemetry::TelemetryConfig{
-        .capacity_events = config.tracer_capacity_events});
+    st.tracer = std::make_unique<telemetry::Tracer>();
     st.device->set_tracer(st.tracer.get());
     if (config.allocator != nullptr) {
       st.keeper =

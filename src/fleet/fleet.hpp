@@ -36,7 +36,6 @@
 #include "fleet/placement.hpp"
 #include "ssd/ssd.hpp"
 #include "telemetry/rollup.hpp"
-#include "telemetry/tracer.hpp"
 #include "trace/synthetic.hpp"
 #include "util/thread_pool.hpp"
 #include "util/time_types.hpp"
@@ -79,10 +78,6 @@ struct FleetConfig {
   /// Rolling-window rollup used for hot-device detection. `channels` is
   /// overwritten from the device geometry.
   telemetry::RollupConfig rollup;
-  /// Per-device trace ring. The fleet only needs the most recent epoch
-  /// (the ring is cleared at each epoch start), so the default is much
-  /// smaller than the Tracer's own.
-  std::size_t tracer_capacity_events = 1u << 16;
   /// Fault injection on a device subset: every `faulty_device_stride`-th
   /// device (ids 0, s, 2s, ...) runs with `faults`; 0 disables. The subset
   /// is part of the configuration, so runs stay bit-reproducible.

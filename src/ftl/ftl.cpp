@@ -347,13 +347,41 @@ void Ftl::save_state(snapshot::StateWriter& w) const {
 
 void Ftl::load_state(snapshot::StateReader& r) {
   r.tag("FTL_");
-  map_.load_state(r);
+  map_.load_state(r, geom_.total_pages());
   blocks_.load_state(r);
   const std::uint64_t n = r.checked_count(8 + 1 + 8);
   policies_.assign(n, TenantPolicy{});
-  for (TenantPolicy& p : policies_) {
+  for (std::uint64_t t = 0; t < n; ++t) {
+    TenantPolicy& p = policies_[t];
+    const std::uint64_t ids_at = r.offset() + 8;
     p.channels = r.vec_u32();
-    p.mode = static_cast<AllocMode>(r.u8());
+    std::vector<bool> seen(geom_.channels, false);
+    for (std::size_t i = 0; i < p.channels.size(); ++i) {
+      const std::uint32_t ch = p.channels[i];
+      if (ch >= geom_.channels || seen[ch]) {
+        const std::uint64_t at = ids_at + 4 * i;
+        throw snapshot::SnapshotError(
+            "snapshot: tenant " + std::to_string(t) + " policy at offset " +
+                std::to_string(at) + " lists channel " + std::to_string(ch) +
+                (ch >= geom_.channels
+                     ? ", beyond the device's " +
+                           std::to_string(geom_.channels) + " channels"
+                     : " twice"),
+            at);
+      }
+      seen[ch] = true;
+    }
+    const std::uint64_t mode_at = r.offset();
+    const std::uint8_t mode = r.u8();
+    if (mode > static_cast<std::uint8_t>(AllocMode::kDynamic)) {
+      throw snapshot::SnapshotError(
+          "snapshot: tenant " + std::to_string(t) +
+              " policy has invalid alloc mode at offset " +
+              std::to_string(mode_at) + ": expected 0|1, found " +
+              std::to_string(mode),
+          mode_at);
+    }
+    p.mode = static_cast<AllocMode>(mode);
     p.rr_counter = r.u64();
     if (!p.channels.empty()) {
       p.plan = make_static_plan(geom_, p.channels.size());

@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/check.hpp"
-
 namespace ssdk::ftl {
 
 namespace {
 constexpr std::size_t kMaxTenants = 1024;  // sanity bound on dense ids
 }
 
-std::vector<sim::Ppn>& MappingTable::table_for(sim::TenantId tenant) {
+std::vector<sim::Ppn32>& MappingTable::table_for(sim::TenantId tenant) {
   if (tenant >= kMaxTenants) {
     throw std::invalid_argument("mapping: tenant id too large (dense ids "
                                 "expected): " + std::to_string(tenant));
@@ -26,7 +24,19 @@ std::vector<sim::Ppn>& MappingTable::table_for(sim::TenantId tenant) {
 sim::Ppn MappingTable::grow_and_update(sim::TenantId tenant,
                                        std::uint64_t lpn, sim::Ppn ppn) {
   auto& table = table_for(tenant);
-  if (lpn >= table.size()) table.resize(lpn + 1, sim::kInvalidPpn);
+  if (lpn >= table.size()) {
+    // Whole steps. A reallocation reserves at least an eighth more than
+    // the old span, rounded up to a step: a rising LPN stream copies the
+    // table O(log span) times, and the slack stays below an eighth plus
+    // one step (resize() alone would double, leaving up to half unused).
+    const std::uint64_t span = (lpn / kSpanStep + 1) * kSpanStep;
+    if (span > table.capacity()) {
+      const std::uint64_t grown = table.size() + table.size() / 8;
+      table.reserve(std::max(span, (grown + kSpanStep - 1) / kSpanStep *
+                                       kSpanStep));
+    }
+    table.resize(span, sim::kInvalidPpn32);
+  }
   return update(tenant, lpn, ppn);  // re-enters on the fast path
 }
 
@@ -36,7 +46,7 @@ sim::Ppn MappingTable::erase(sim::TenantId tenant, std::uint64_t lpn) {
 
 void MappingTable::clear() {
   for (auto& table : tables_) {
-    std::fill(table.begin(), table.end(), sim::kInvalidPpn);
+    std::fill(table.begin(), table.end(), sim::kInvalidPpn32);
   }
   std::fill(mapped_counts_.begin(), mapped_counts_.end(), 0);
 }
@@ -50,10 +60,13 @@ void MappingTable::check_invariants() const {
   SSDK_CHECK_MSG(tables_.size() == mapped_counts_.size(),
                  "mapping: table/count vectors out of step");
   for (std::size_t t = 0; t < tables_.size(); ++t) {
-    std::uint64_t mapped = 0;
-    for (const sim::Ppn ppn : tables_[t]) {
-      if (ppn != sim::kInvalidPpn) ++mapped;
-    }
+    SSDK_CHECK_MSG(tables_[t].size() % kSpanStep == 0,
+                   "mapping: tenant " + std::to_string(t) + " span " +
+                       std::to_string(tables_[t].size()) +
+                       " is not a whole number of steps");
+    const auto mapped = static_cast<std::uint64_t>(
+        std::count_if(tables_[t].begin(), tables_[t].end(),
+                      [](sim::Ppn32 e) { return e != sim::kInvalidPpn32; }));
     SSDK_CHECK_MSG(mapped == mapped_counts_[t],
                    "mapping: tenant " + std::to_string(t) +
                        " cached mapped count " +
@@ -62,18 +75,22 @@ void MappingTable::check_invariants() const {
   }
 }
 
+// Layout (v5): "L2PM", u64 tenant count, then per tenant a u64 span (a
+// whole number of kSpanSteps), span u32 entries (0xFFFFFFFF = unmapped)
+// and the u64 mapped count.
 void MappingTable::save_state(snapshot::StateWriter& w) const {
   w.tag("L2PM");
   w.u64(tables_.size());
   for (std::size_t t = 0; t < tables_.size(); ++t) {
-    w.vec_u64(tables_[t]);
+    w.vec_u32(tables_[t]);
     w.u64(mapped_counts_[t]);
   }
 }
 
-void MappingTable::load_state(snapshot::StateReader& r) {
+void MappingTable::load_state(snapshot::StateReader& r,
+                              std::uint64_t total_pages) {
   r.tag("L2PM");
-  const std::uint64_t n = r.checked_count(8);
+  const std::uint64_t n = r.checked_count(8 + 8);
   if (n > kMaxTenants) {
     throw snapshot::SnapshotError(
         "snapshot: mapping table tenant count " + std::to_string(n) +
@@ -83,8 +100,44 @@ void MappingTable::load_state(snapshot::StateReader& r) {
   tables_.assign(n, {});
   mapped_counts_.assign(n, 0);
   for (std::uint64_t t = 0; t < n; ++t) {
-    tables_[t] = r.vec_u64();
-    mapped_counts_[t] = r.u64();
+    const std::uint64_t span_at = r.offset();
+    const std::uint64_t span = r.checked_count(sizeof(sim::Ppn32));
+    if (span % kSpanStep != 0) {
+      throw snapshot::SnapshotError(
+          "snapshot: L2P table of tenant " + std::to_string(t) +
+              " at offset " + std::to_string(span_at) + " spans " +
+              std::to_string(span) + " entries, not a whole number of " +
+              std::to_string(kSpanStep) + "-entry steps",
+          span_at);
+    }
+    std::vector<sim::Ppn32> table(span);
+    std::uint64_t valid = 0;
+    for (sim::Ppn32& entry : table) {
+      const std::uint64_t at = r.offset();
+      entry = r.u32();
+      if (entry == sim::kInvalidPpn32) continue;
+      if (entry >= total_pages) {
+        throw snapshot::SnapshotError(
+            "snapshot: L2P entry at offset " + std::to_string(at) +
+                " maps to ppn " + std::to_string(entry) +
+                ", beyond the device's " + std::to_string(total_pages) +
+                " pages",
+            at);
+      }
+      ++valid;
+    }
+    const std::uint64_t count_at = r.offset();
+    const std::uint64_t mapped = r.u64();
+    if (mapped != valid) {
+      throw snapshot::SnapshotError(
+          "snapshot: L2P mapped count of tenant " + std::to_string(t) +
+              " at offset " + std::to_string(count_at) + " is " +
+              std::to_string(mapped) + " but its table has " +
+              std::to_string(valid) + " valid entries",
+          count_at);
+    }
+    tables_[t] = std::move(table);
+    mapped_counts_[t] = mapped;
   }
 }
 

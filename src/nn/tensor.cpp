@@ -121,11 +121,34 @@ void matmul_a_bt(const Matrix& a, const Matrix& b, Matrix& out) {
   const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
   for (std::size_t i = 0; i < m; ++i) {
     const double* a_row = a.data() + i * k;
-    for (std::size_t j = 0; j < n; ++j) {
+    double* out_row = out.data() + i * n;
+    std::size_t j = 0;
+    // Four output columns per pass, one accumulator each: four independent
+    // add chains instead of one. Every element still sums from 0.0 in
+    // ascending p, so the result is bit-identical to the tail loop below.
+    for (; j + 4 <= n; j += 4) {
+      const double* b0 = b.data() + j * k;
+      const double* b1 = b0 + k;
+      const double* b2 = b1 + k;
+      const double* b3 = b2 + k;
+      double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
+      for (std::size_t p = 0; p < k; ++p) {
+        const double ap = a_row[p];
+        acc0 += ap * b0[p];
+        acc1 += ap * b1[p];
+        acc2 += ap * b2[p];
+        acc3 += ap * b3[p];
+      }
+      out_row[j] = acc0;
+      out_row[j + 1] = acc1;
+      out_row[j + 2] = acc2;
+      out_row[j + 3] = acc3;
+    }
+    for (; j < n; ++j) {
       const double* b_row = b.data() + j * k;
       double acc = 0.0;
       for (std::size_t p = 0; p < k; ++p) acc += a_row[p] * b_row[p];
-      out(i, j) = acc;
+      out_row[j] = acc;
     }
   }
 }

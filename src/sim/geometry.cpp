@@ -33,6 +33,22 @@ void Geometry::validate() const {
       page_size_bytes == 0) {
     throw std::invalid_argument("geometry: all dimensions must be non-zero");
   }
+  // Multiply step by step and stop at the cap: each partial product is at
+  // most kInvalidPpn32, so the next 64-bit multiply cannot overflow.
+  std::uint64_t pages = 1;
+  for (const std::uint32_t dim : {channels, chips_per_channel,
+                                  planes_per_chip, blocks_per_plane,
+                                  pages_per_block}) {
+    pages *= dim;
+    if (pages > kInvalidPpn32) {
+      std::ostringstream os;
+      os << "geometry: " << channels << " x " << chips_per_channel << " x "
+         << planes_per_chip << " x " << blocks_per_plane << " x "
+         << pages_per_block << " holds more than " << kInvalidPpn32
+         << " pages; every PPN must fit below the 32-bit invalid marker";
+      throw std::invalid_argument(os.str());
+    }
+  }
 }
 
 std::string Geometry::describe() const {

@@ -17,6 +17,12 @@ namespace ssdk::sim {
 using Ppn = std::uint64_t;
 inline constexpr Ppn kInvalidPpn = ~Ppn{0};
 
+/// A PPN as the L2P tables store it. Geometry::validate keeps every
+/// device below kInvalidPpn32 pages, so each valid PPN fits and the
+/// all-ones value stays free for the invalid marker.
+using Ppn32 = std::uint32_t;
+inline constexpr Ppn32 kInvalidPpn32 = ~Ppn32{0};
+
 struct PhysAddr {
   std::uint32_t channel = 0;
   std::uint32_t chip = 0;   ///< chip index within the channel
@@ -105,13 +111,13 @@ struct Geometry {
   /// small, tiny) has power-of-two dimensions, and decode sits on the
   /// per-page-op device hot path where four hardware divides are
   /// measurable. Falls back to the general divide chain for odd shapes.
+  /// The power-of-two tests are spelled out: at the baseline x86-64 ISA,
+  /// std::has_single_bit compiles to a libgcc popcount call.
   PhysAddr decode(Ppn ppn) const {
     assert(ppn < total_pages());
     PhysAddr a;
-    if (std::has_single_bit(pages_per_block) &&
-        std::has_single_bit(blocks_per_plane) &&
-        std::has_single_bit(planes_per_chip) &&
-        std::has_single_bit(chips_per_channel)) {
+    if (pow2(pages_per_block) && pow2(blocks_per_plane) &&
+        pow2(planes_per_chip) && pow2(chips_per_channel)) {
       const int page_bits = std::countr_zero(pages_per_block);
       const int block_bits = std::countr_zero(blocks_per_plane);
       const int plane_bits = std::countr_zero(planes_per_chip);
@@ -138,13 +144,18 @@ struct Geometry {
     return a;
   }
 
-  /// Throws std::invalid_argument when any dimension is zero or an address
-  /// component would overflow its field.
+  /// Throws std::invalid_argument when any dimension is zero or the device
+  /// holds more than kInvalidPpn32 pages: then a PPN, or a product of
+  /// dimensions such as total_chips(), would overflow its 32-bit field.
   void validate() const;
 
   std::string describe() const;
 
   friend bool operator==(const Geometry&, const Geometry&) = default;
+
+ private:
+  /// Power-of-two test for a dimension validate() has made non-zero.
+  static constexpr bool pow2(std::uint32_t x) { return (x & (x - 1)) == 0; }
 };
 
 }  // namespace ssdk::sim

@@ -231,7 +231,8 @@ inline constexpr char kSnapshotMagic[8] = {'S', 'S', 'D', 'K',
 // per-strategy objective scores. Version 3: the device's CHNL and UNIT
 // sections drop the derived queued-write count and front-write seq.
 // Version 4: BLKM stores opened blocks only, with owners for valid pages.
-inline constexpr std::uint32_t kSnapshotVersion = 4;
+// Version 5: L2PM stores 4-byte entries in whole 1024-entry spans.
+inline constexpr std::uint32_t kSnapshotVersion = 5;
 
 enum class PayloadKind : std::uint32_t {
   kDevice = 1,    ///< full SSD device state

@@ -1,5 +1,7 @@
 #include "telemetry/tracer.hpp"
 
+#include <algorithm>
+
 namespace ssdk::telemetry {
 
 const char* span_kind_name(SpanKind kind) {
@@ -42,19 +44,23 @@ const char* op_class_name(OpClass op) {
 
 Tracer::Tracer(TelemetryConfig config) : config_(config) {
   if (config_.capacity_events == 0) config_.capacity_events = 1;
-  ring_.resize(config_.capacity_events);
 }
 
 void Tracer::record(const TraceEvent& event) {
   ++recorded_;
-  if (size_ < ring_.size()) {
-    ring_[(head_ + size_) % ring_.size()] = event;
-    ++size_;
+  const std::size_t capacity = config_.capacity_events;
+  if (ring_.size() < capacity) {
+    // Double the storage, but never past the capacity.
+    if (ring_.size() == ring_.capacity()) {
+      ring_.reserve(std::min(capacity, std::max<std::size_t>(
+                                           64, 2 * ring_.capacity())));
+    }
+    ring_.push_back(event);
     return;
   }
   if (!config_.overwrite_oldest) return;  // ring full: drop the newcomer
   ring_[head_] = event;  // overwrite the oldest; head advances
-  head_ = (head_ + 1) % ring_.size();
+  head_ = (head_ + 1) % capacity;
 }
 
 void Tracer::record_point(SimTime at, SpanKind kind, sim::TenantId tenant,
@@ -79,16 +85,17 @@ void Tracer::record_decision(KeeperDecision decision) {
 
 std::vector<TraceEvent> Tracer::events() const {
   std::vector<TraceEvent> out;
-  out.reserve(size_);
-  for (std::size_t i = 0; i < size_; ++i) {
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
-  }
+  out.reserve(ring_.size());
+  out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(head_),
+             ring_.end());
+  out.insert(out.end(), ring_.begin(),
+             ring_.begin() + static_cast<std::ptrdiff_t>(head_));
   return out;
 }
 
 void Tracer::clear() {
+  ring_.clear();
   head_ = 0;
-  size_ = 0;
   recorded_ = 0;
   decisions_.clear();
 }

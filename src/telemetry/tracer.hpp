@@ -1,5 +1,6 @@
-// Low-overhead lifecycle tracer: a preallocated ring buffer of TraceEvents
-// plus a small side list of keeper decisions (rare, carry strings).
+// Low-overhead lifecycle tracer: a ring buffer of TraceEvents that grows
+// as events arrive, up to a fixed capacity, plus a small side list of
+// keeper decisions (rare, carry strings).
 //
 // The device and FTL hold a `Tracer*` that is null when telemetry is off;
 // every instrumentation site is `if (tracer_) tracer_->record(...)`, so a
@@ -20,8 +21,9 @@ namespace ssdk::telemetry {
 struct TelemetryConfig {
   /// Ring capacity in events. Sizing: one host write in held-bus mode
   /// emits up to 4 events (alloc, wait, bus, program), a read up to 4, so
-  /// the default ~1M events covers roughly 250k requests of full detail
-  /// at 48 bytes/event ≈ 48 MB.
+  /// the default ~1M events covers roughly 250k requests of full detail.
+  /// The ring's storage grows with the events recorded (48 bytes each),
+  /// doubling up to this capacity, so a short run pays only for its own.
   std::size_t capacity_events = 1u << 20;
   /// true: the ring overwrites the oldest events when full (keep the tail
   /// of the run); false: new events are dropped (keep the head).
@@ -46,7 +48,8 @@ class Tracer {
 
   const TelemetryConfig& config() const { return config_; }
 
-  /// Append one event (O(1), no allocation after construction).
+  /// Append one event: amortized O(1); the ring allocates only while it
+  /// grows towards capacity_events, and never once it is full.
   void record(const TraceEvent& event);
 
   /// Convenience for point events (begin == end).
@@ -60,11 +63,12 @@ class Tracer {
   std::vector<TraceEvent> events() const;
   const std::vector<KeeperDecision>& decisions() const { return decisions_; }
 
-  std::size_t size() const { return size_; }
+  std::size_t size() const { return ring_.size(); }
   std::uint64_t recorded() const { return recorded_; }
   /// Events lost to ring wrap/drop: recorded() - size().
-  std::uint64_t dropped() const { return recorded_ - size_; }
+  std::uint64_t dropped() const { return recorded_ - ring_.size(); }
 
+  /// Forget every event and decision; the ring keeps its storage.
   void clear();
 
  private:
@@ -75,9 +79,10 @@ class Tracer {
   // discipline this type neither has nor needs; do not share one tracer
   // across concurrently-running devices.
   TelemetryConfig config_;
+  /// Until it holds capacity_events, the ring is in record order and
+  /// head_ is 0; once full, head_ is the oldest (next overwritten) slot.
   std::vector<TraceEvent> ring_;
-  std::size_t head_ = 0;  ///< next write slot (overwrite mode)
-  std::size_t size_ = 0;
+  std::size_t head_ = 0;
   std::uint64_t recorded_ = 0;
   std::vector<KeeperDecision> decisions_;
 };

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
+#include "util/rng.hpp"
+
 namespace ssdk::nn {
 namespace {
 
@@ -72,6 +78,41 @@ TEST(MatmulABt, MatchesExplicitTranspose) {
   matmul_a_bt(a, b, c);  // 1x2
   EXPECT_EQ(c(0, 0), 11.0);  // 1*3+2*4
   EXPECT_EQ(c(0, 1), 17.0);  // 1*5+2*6
+}
+
+// The kernel computes four output columns per pass; every element must
+// still be the naive ascending-p sum from 0.0, bit for bit, including the
+// n % 4 leftover columns.
+TEST(MatmulABt, BitIdenticalToNaiveLoop) {
+  Rng rng(17);
+  const auto random_matrix = [&](std::size_t rows, std::size_t cols) {
+    Matrix m(rows, cols);
+    for (double& x : m.raw()) {
+      // Mixed magnitudes make the sum's rounding depend on its order.
+      x = rng.uniform_real(-1.0, 1.0) *
+          std::pow(10.0, static_cast<double>(rng.uniform_int(-6, 6)));
+    }
+    return m;
+  };
+  for (const std::size_t k : {1u, 7u, 42u, 64u}) {
+    for (const std::size_t n : {1u, 2u, 3u, 8u, 9u, 10u, 11u, 64u}) {
+      const Matrix a = random_matrix(5, k);
+      const Matrix b = random_matrix(n, k);
+      Matrix c;
+      matmul_a_bt(a, b, c);
+      ASSERT_EQ(c.rows(), 5u);
+      ASSERT_EQ(c.cols(), n);
+      for (std::size_t i = 0; i < a.rows(); ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+          double naive = 0.0;
+          for (std::size_t p = 0; p < k; ++p) naive += a(i, p) * b(j, p);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(c(i, j)),
+                    std::bit_cast<std::uint64_t>(naive))
+              << "k=" << k << " n=" << n << " at (" << i << ", " << j << ")";
+        }
+      }
+    }
+  }
 }
 
 TEST(Broadcast, AddRowVector) {

@@ -73,10 +73,58 @@ TEST(Geometry, PlaneAndBlockIds) {
   EXPECT_EQ(g.block_id(a), (7ULL * 4 + 2) * g.blocks_per_plane + 7);
 }
 
-TEST(Geometry, ValidateRejectsZeroDimension) {
-  Geometry g = Geometry::small();
-  g.channels = 0;
-  EXPECT_THROW(g.validate(), std::invalid_argument);
+// Geometry::validate rejects zero dimensions, and keeps every PPN below
+// the L2P tables' 32-bit invalid marker, which also keeps the uint32
+// products such as total_chips() from wrapping.
+TEST(Geometry, RejectsInvalidShapes) {
+  struct Case {
+    const char* name;
+    Geometry geometry;
+  };
+  const auto shape = [](std::uint32_t channels, std::uint32_t chips,
+                        std::uint32_t planes, std::uint32_t blocks,
+                        std::uint32_t pages) {
+    Geometry g;
+    g.channels = channels;
+    g.chips_per_channel = chips;
+    g.planes_per_chip = planes;
+    g.blocks_per_plane = blocks;
+    g.pages_per_block = pages;
+    return g;
+  };
+  Geometry zero_page_size = Geometry::small();
+  zero_page_size.page_size_bytes = 0;
+  const Case rejected[] = {
+      {"zero channels", shape(0, 2, 4, 256, 64)},
+      {"zero chips", shape(8, 0, 4, 256, 64)},
+      {"zero planes", shape(8, 2, 0, 256, 64)},
+      {"zero blocks", shape(8, 2, 4, 0, 64)},
+      {"zero pages", shape(8, 2, 4, 256, 0)},
+      {"zero page size", zero_page_size},
+      // 2^32 pages: the first page count whose last PPN is the marker.
+      {"2^32 pages", shape(16, 16, 16, 1024, 1024)},
+      {"2^32 pages in one plane", shape(1, 1, 1, 65536, 65536)},
+      // channels x chips wraps total_chips() to 0 in 32 bits.
+      {"total_chips overflow", shape(65536, 65536, 1, 1, 1)},
+      {"every dimension at its maximum",
+       shape(~0u, ~0u, ~0u, ~0u, ~0u)},
+  };
+  for (const Case& c : rejected) {
+    EXPECT_THROW(c.geometry.validate(), std::invalid_argument) << c.name;
+  }
+
+  // 3 x 5 x 17 x 257 x 65537 = 2^32 - 1 pages: the largest device that
+  // fits, whose last PPN is one below the marker.
+  const Geometry largest = shape(3, 5, 17, 257, 65537);
+  EXPECT_NO_THROW(largest.validate());
+  EXPECT_EQ(largest.total_pages(), std::uint64_t{kInvalidPpn32});
+  const PhysAddr last{2, 4, 16, 256, 65536};
+  EXPECT_EQ(largest.encode(last), Ppn{kInvalidPpn32} - 1);
+  EXPECT_EQ(largest.decode(kInvalidPpn32 - 1), last);
+  for (const Geometry& stock :
+       {Geometry::paper(), Geometry::small(), Geometry::tiny()}) {
+    EXPECT_NO_THROW(stock.validate()) << stock.describe();
+  }
 }
 
 TEST(Geometry, DescribeMentionsCapacity) {

@@ -339,12 +339,16 @@ std::vector<char> payload_of(const ssd::Ssd& device) {
   return snapshot::read_container(in, snapshot::PayloadKind::kDevice);
 }
 
+constexpr std::uint64_t kAnyOffset = ~std::uint64_t{0};
+
 /// Apply `patch` to a copy of `payload`, re-seal it and require
 /// load_device to refuse it with a SnapshotError whose message names
-/// `expected`.
+/// `expected` and, unless `offset` is kAnyOffset, whose offset is
+/// `offset` (a position in the payload).
 template <typename Patch>
 void expect_rejected(std::vector<char> payload, Patch&& patch,
-                     const char* expected) {
+                     const char* expected,
+                     std::uint64_t offset = kAnyOffset) {
   patch(payload);
   std::ostringstream out;
   snapshot::write_container(out, snapshot::PayloadKind::kDevice, payload);
@@ -355,6 +359,12 @@ void expect_rejected(std::vector<char> payload, Patch&& patch,
   } catch (const snapshot::SnapshotError& e) {
     EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
         << e.what();
+    if (offset != kAnyOffset) {
+      EXPECT_EQ(e.offset(), offset) << e.what();
+      EXPECT_NE(std::string(e.what()).find(std::to_string(offset)),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -455,6 +465,159 @@ TEST(DeviceSnapshot, RejectsResealedBlkmMutations) {
   expect_rejected(
       churned_payload, [&](auto& b) { write_u32_at(b, ids, busy); },
       "not Free");
+}
+
+// --- FTL_: L2P tables and tenant policies -----------------------------------
+
+/// Byte offsets of the v5 FTL_ fields on either side of BLKM: the L2P
+/// tables before it and the tenant policies after it (layouts in
+/// src/ftl/mapping.cpp, above save_state, and Ftl::save_state).
+struct FtlLayout {
+  struct Table {
+    std::size_t span_at;  ///< u64 span, then span u32 entries
+    std::uint64_t span;
+    std::size_t entries_at;
+    std::size_t count_at;  ///< u64 mapped count
+  };
+  struct Policy {
+    std::size_t ids_at;  ///< first u32 channel id
+    std::uint64_t ids;
+    std::size_t mode_at;  ///< u8 alloc mode, then u64 rr counter
+  };
+  std::vector<Table> tables;
+  std::vector<Policy> policies;
+};
+
+FtlLayout parse_ftl(const std::vector<char>& payload,
+                    std::uint32_t pages_per_block) {
+  FtlLayout layout;
+  std::size_t pos = 0;
+  while (std::memcmp(payload.data() + pos, "FTL_L2PM", 8) != 0) ++pos;
+  const std::uint64_t tenants = read_u64_at(payload, pos + 8);
+  pos += 16;
+  for (std::uint64_t t = 0; t < tenants; ++t) {
+    FtlLayout::Table table{pos, read_u64_at(payload, pos), pos + 8, 0};
+    table.count_at = table.entries_at + 4 * table.span;
+    layout.tables.push_back(table);
+    pos = table.count_at + 8;
+  }
+  const BlkmLayout blkm = parse_blkm(payload, pages_per_block);
+  const BlkmLayout::Plane& last = blkm.planes.back();
+  pos = last.list_at + 8 + 4 * last.list_len;
+  const std::uint64_t policies = read_u64_at(payload, pos);
+  pos += 8;
+  for (std::uint64_t t = 0; t < policies; ++t) {
+    FtlLayout::Policy policy{pos + 8, read_u64_at(payload, pos), 0};
+    policy.mode_at = policy.ids_at + 4 * policy.ids;
+    layout.policies.push_back(policy);
+    pos = policy.mode_at + 1 + 8;
+  }
+  return layout;
+}
+
+// Regression: the FTL_ loader took L2P entries, spans, mapped counts,
+// policy channel ids and mode bytes as given. Release loads never audit,
+// so each mutation below loaded, and the device later indexed out of
+// bounds, trusted a wrong count or dispatched on an invalid mode. Every
+// field is now checked before use, and the error names its byte offset.
+TEST(DeviceSnapshot, RejectsResealedFtlMutations) {
+  const auto requests = pipeline_workload();
+  const core::RunConfig config;
+  const sim::Geometry& geometry = config.ssd.geometry;
+  const auto device = device_at(requests, 4, config, requests.size() / 2);
+  const std::vector<char> payload = payload_of(*device);
+  ASSERT_NO_THROW(snapshot::load_device(snapshot::save_device(*device)));
+  const FtlLayout layout = parse_ftl(payload, geometry.pages_per_block);
+  ASSERT_FALSE(layout.tables.empty());
+  const FtlLayout::Table& table = layout.tables.front();
+  ASSERT_GT(table.span, 0u);
+  std::size_t mapped_at = 0;  // first mapped entry of tenant 0
+  for (std::uint64_t i = 0; i < table.span && mapped_at == 0; ++i) {
+    const std::size_t at = table.entries_at + 4 * i;
+    if (read_u32_at(payload, at) != sim::kInvalidPpn32) mapped_at = at;
+  }
+  ASSERT_NE(mapped_at, 0u) << "tenant 0 has no mapped page";
+
+  // A mapped entry moved past the last page (the count stays right).
+  expect_rejected(
+      payload,
+      [&](auto& b) {
+        write_u32_at(b, mapped_at,
+                     static_cast<std::uint32_t>(geometry.total_pages()));
+      },
+      "maps to ppn", mapped_at);
+  // One more unmapped entry: a span that is not a whole number of steps.
+  expect_rejected(
+      payload,
+      [&](auto& b) {
+        write_u64_at(b, table.span_at, table.span + 1);
+        const char unmapped[4] = {'\xFF', '\xFF', '\xFF', '\xFF'};
+        b.insert(b.begin() + static_cast<std::ptrdiff_t>(table.count_at),
+                 unmapped, unmapped + 4);
+      },
+      "not a whole number", table.span_at);
+  expect_rejected(
+      payload,
+      [&](auto& b) {
+        write_u64_at(b, table.count_at, read_u64_at(b, table.count_at) + 1);
+      },
+      "mapped count", table.count_at);
+
+  ASSERT_FALSE(layout.policies.empty());
+  const FtlLayout::Policy& policy = layout.policies.front();
+  ASSERT_GE(policy.ids, 2u);
+  const std::size_t second_id = policy.ids_at + 4;
+  expect_rejected(
+      payload,
+      [&](auto& b) { write_u32_at(b, second_id, geometry.channels); },
+      " channels", second_id);
+  expect_rejected(
+      payload,
+      [&](auto& b) {
+        write_u32_at(b, second_id, read_u32_at(b, policy.ids_at));
+      },
+      "twice", second_id);
+  expect_rejected(
+      payload, [&](auto& b) { b[policy.mode_at] = 2; }, "alloc mode",
+      policy.mode_at);
+}
+
+TEST(DeviceSnapshot, L2pmStoresFourBytesPerEntry) {
+  const auto requests = pipeline_workload();
+  const auto cut = static_cast<std::uint64_t>(
+      0.7 * static_cast<double>(requests.size()));
+  const auto device = device_at(requests, 4, core::RunConfig{}, cut);
+  const ftl::MappingTable& map = device->ftl().mapping();
+  snapshot::StateWriter l2pm;
+  map.save_state(l2pm);
+  std::size_t expected = 4 + 8;  // tag, tenant count
+  std::uint64_t entries = 0;
+  for (sim::TenantId t = 0; t < map.tenant_table_count(); ++t) {
+    const std::uint64_t span = map.table_span(t);
+    EXPECT_EQ(span % ftl::MappingTable::kSpanStep, 0u);
+    expected += 8 + 4 * span + 8;  // span, entries, mapped count
+    entries += span;
+  }
+  EXPECT_GT(entries, 0u);
+  EXPECT_EQ(l2pm.size(), expected);
+
+  const std::vector<char> bytes = snapshot::save_device(*device);
+  EXPECT_EQ(read_u32_at(bytes, 8), snapshot::kSnapshotVersion);
+  EXPECT_EQ(snapshot::save_device(*snapshot::load_device(bytes)), bytes);
+}
+
+TEST(DeviceSnapshot, RefusesVersion4Container) {
+  const ssd::Ssd device{ssd::SsdOptions{}};
+  std::vector<char> bytes = snapshot::save_device(device);
+  ASSERT_EQ(read_u32_at(bytes, 8), 5u);  // version follows the magic
+  write_u32_at(bytes, 8, 4);
+  try {
+    snapshot::load_device(bytes);
+    ADD_FAILURE() << "accepted a version 4 container";
+  } catch (const snapshot::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(DeviceSnapshot, BlockStateIndependentOfCapacity) {

@@ -212,34 +212,34 @@ TEST(SsdInvariants, DetectsOrphanValidPage) {
 
 TEST(SsdInvariants, DetectsMappedCountDrift) {
   auto device = busy_device();
-  // Clearing a mapping through the raw table (table_span/update keep the
-  // cache honest, so go through a trim of a mapped LPN... then restore it
-  // behind the cache's back via update to the same value twice).
-  // Simplest honest corruption: erase a mapping and re-install it — the
-  // cache survives that — so instead corrupt via update() to kInvalidPpn
-  // followed by a direct re-update: count drops then rises, staying
-  // consistent. The cache can only be desynced through serialized state:
-  // patch the count in a snapshot payload.
+  // update() and erase() keep the cached mapped count honest, so it can
+  // only drift through serialized state: patch the count in a snapshot
+  // payload. The L2PM loader recounts each table and refuses the drift
+  // with a SnapshotError naming the count's offset, before any audit.
   snapshot::StateWriter w;
   device->save_state(w);
   std::vector<char> bytes = w.take();
   const std::size_t l2pm = find_tag(bytes, "L2PM");
-  // Layout: tag, u64 tenant_count, then per tenant: vec_u64 table
-  // (u64 size + entries), u64 mapped_count.
+  // v5 layout: tag, u64 tenant_count, then per tenant: u64 span, span
+  // u32 entries, u64 mapped_count.
   const std::size_t table_size_pos = l2pm + 4 + 8;
   const std::uint64_t entries = read_u64(bytes, table_size_pos);
   ASSERT_GT(entries, 0u);
-  const std::size_t count_pos = table_size_pos + 8 + entries * 8;
-  write_u64(bytes, count_pos, read_u64(bytes, count_pos) + 3);
+  const std::size_t count_pos = table_size_pos + 8 + entries * 4;
+  const std::uint64_t count = read_u64(bytes, count_pos);
+  ASSERT_GT(count, 0u);
+  ASSERT_LE(count, entries);
+  write_u64(bytes, count_pos, count + 3);
 
   Ssd reloaded(tiny_options());
   snapshot::StateReader r(bytes);
   try {
     reloaded.load_state(r);
-    reloaded.check_invariants();
     FAIL() << "mapped-count drift was not detected";
-  } catch (const util::InvariantViolation&) {
-    SUCCEED();
+  } catch (const snapshot::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("mapped count"), std::string::npos)
+        << e.what();
+    EXPECT_EQ(e.offset(), count_pos);
   }
 }
 

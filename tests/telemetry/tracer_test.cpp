@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 namespace ssdk::telemetry {
 namespace {
 
@@ -95,6 +97,57 @@ TEST(Tracer, ClearResetsEverything) {
   EXPECT_EQ(tracer.recorded(), 0u);
   EXPECT_TRUE(tracer.events().empty());
   EXPECT_TRUE(tracer.decisions().empty());
+}
+
+// The ring's storage grows with the events recorded; at capacity it must
+// give the same overwrite-oldest and drop-newest results as a ring sized
+// up front. The reference is a deque holding what must survive.
+TEST(Tracer, GrowingRingMatchesFixedRingSemantics) {
+  for (const bool overwrite : {true, false}) {
+    for (const std::size_t capacity : {1u, 3u, 64u, 65u, 1000u, 4096u}) {
+      TelemetryConfig config;
+      config.capacity_events = capacity;
+      config.overwrite_oldest = overwrite;
+      Tracer tracer(config);
+      std::deque<SimTime> expected;
+      std::uint64_t recorded = 0;
+      const auto check = [&] {
+        ASSERT_EQ(tracer.size(), expected.size());
+        EXPECT_EQ(tracer.recorded(), recorded);
+        EXPECT_EQ(tracer.dropped(), recorded - expected.size());
+        const auto events = tracer.events();
+        ASSERT_EQ(events.size(), expected.size());
+        for (std::size_t i = 0; i < events.size(); ++i) {
+          ASSERT_EQ(events[i].begin, expected[i])
+              << "capacity " << capacity << " overwrite " << overwrite
+              << " event " << i;
+        }
+      };
+      // Fill in stages across the growth steps, past capacity, then clear
+      // (the ring keeps its storage) and go round again.
+      for (int round = 0; round < 2; ++round) {
+        for (const std::size_t batch :
+             {std::size_t{1}, capacity / 2, capacity, 2 * capacity + 7}) {
+          for (std::size_t i = 0; i < batch; ++i) {
+            const SimTime t = recorded * 10;
+            tracer.record(event_at(t));
+            ++recorded;
+            if (expected.size() < capacity) {
+              expected.push_back(t);
+            } else if (overwrite) {
+              expected.pop_front();
+              expected.push_back(t);
+            }
+          }
+          check();
+        }
+        tracer.clear();
+        expected.clear();
+        recorded = 0;
+        check();
+      }
+    }
+  }
 }
 
 TEST(SpanNames, AllKindsNamed) {
