@@ -95,7 +95,9 @@ int main(int argc, char** argv) {
   std::printf("\nresults:\n");
   std::printf("  avg write %.1f us, avg read %.1f us, total %.1f us\n",
               result.avg_write_us, result.avg_read_us, result.total_us);
-  for (const auto& [tenant, metrics] : result.per_tenant) {
+  // RunResult keeps summaries only; the distributions live on the device.
+  for (const auto& [tenant, summary] : result.per_tenant) {
+    const sim::TenantMetrics& metrics = device.metrics().tenant(tenant);
     std::printf("  tenant %u: read %s us | write %s us\n", tenant,
                 summarize(metrics.read_latency_us).c_str(),
                 summarize(metrics.write_latency_us).c_str());

@@ -108,17 +108,14 @@ double summarize_total_us(const ssd::Ssd& device) {
 RunResult summarize(const ssd::Ssd& device) {
   RunResult result;
   const auto& metrics = device.metrics();
-  const sim::TenantMetrics agg = metrics.aggregate();
-  result.avg_read_us = agg.avg_read_us();
-  result.avg_write_us = agg.avg_write_us();
-  result.total_us = agg.total_us();
-  if (!agg.read_latency_us.empty()) {
-    result.p99_read_us = agg.read_latency_us.percentile(99.0);
-  }
-  if (!agg.write_latency_us.empty()) {
-    result.p99_write_us = agg.write_latency_us.percentile(99.0);
-  }
-  result.per_tenant = metrics.all_tenants();
+  const sim::LatencySums sums = metrics.aggregate_sums();
+  result.avg_read_us = sums.avg_read_us();
+  result.avg_write_us = sums.avg_write_us();
+  result.total_us = sums.total_us();
+  result.p99_read_us = metrics.aggregate_percentile(sim::OpType::kRead, 99.0);
+  result.p99_write_us =
+      metrics.aggregate_percentile(sim::OpType::kWrite, 99.0);
+  result.per_tenant = metrics.summaries();
   result.counters = metrics.counters();
   for (const auto& [id, t] : result.per_tenant) {
     result.slo_violations += t.slo_violations;

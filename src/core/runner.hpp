@@ -41,6 +41,11 @@ struct RunConfig {
   std::uint64_t audit_interval = 0;
 };
 
+/// What a finished replay reports: device-wide latency means and tails,
+/// per-tenant summaries and the device counters. It holds no latency
+/// samples — every reader uses counts, sums and counters — so keeping many
+/// results costs O(tenants) each; per-tenant distributions come from the
+/// device's metrics() (MetricsCollector::tenant, all_tenants).
 struct RunResult {
   double avg_read_us = 0.0;
   double avg_write_us = 0.0;
@@ -50,7 +55,10 @@ struct RunResult {
   /// sharper story about conflicts).
   double p99_read_us = 0.0;
   double p99_write_us = 0.0;
-  std::map<sim::TenantId, sim::TenantMetrics> per_tenant;
+  /// Per-tenant counts, latency sums, and reliability and SLO counters
+  /// (kInternalTenant included when GC traffic recorded any). Their
+  /// total_us() equals the device's TenantMetrics::total_us() bit for bit.
+  std::map<sim::TenantId, sim::TenantSummary> per_tenant;
   sim::DeviceCounters counters;
   /// Total SLO-target misses across tenants (nonzero only when the run's
   /// scheduler config carries slo_target_us entries).
@@ -103,7 +111,8 @@ RunResult run_with_strategy_switch(std::span<const sim::IoRequest> requests,
                                    std::span<const TenantProfile> profiles,
                                    const RunConfig& config);
 
-/// Summarize a finished device's metrics.
+/// Summarize a finished device's metrics: means from the running sums,
+/// each p99 selected on one merged sample copy, O(tenants) summaries.
 RunResult summarize(const ssd::Ssd& device);
 
 /// total_us only (avg read + avg write), from the metrics' running sums —

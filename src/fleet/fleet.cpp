@@ -591,9 +591,9 @@ FleetResult run_fleet(const FleetConfig& config,
     dr.faulty = st.faulty;
     dr.run = st.full ? st.full_result : core::summarize(*st.device);
     dr.epoch_summaries = st.epoch_summaries;
-    const auto agg = st.device->metrics().aggregate();
-    const double reads = static_cast<double>(agg.read_latency_us.count());
-    const double writes = static_cast<double>(agg.write_latency_us.count());
+    const auto sums = st.device->metrics().aggregate_sums();
+    const double reads = static_cast<double>(sums.reads);
+    const double writes = static_cast<double>(sums.writes);
     read_n += reads;
     write_n += writes;
     req_n += reads + writes;
@@ -629,8 +629,7 @@ FleetResult run_fleet(const FleetConfig& config,
       } catch (const ftl::DeviceFullError&) {
         // Partial metrics still give a usable denominator.
       }
-      const auto agg = device.metrics().aggregate();
-      return agg.total_us();
+      return device.metrics().aggregate_sums().total_us();
     });
   }
 

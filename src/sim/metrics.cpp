@@ -1,9 +1,25 @@
 #include "sim/metrics.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
 namespace ssdk::sim {
+
+TenantSummary TenantMetrics::summary() const {
+  TenantSummary s;
+  s.read_sum_us = read_latency_us.sum();
+  s.write_sum_us = write_latency_us.sum();
+  s.reads = read_latency_us.count();
+  s.writes = write_latency_us.count();
+  s.read_retries = read_retries;
+  s.uncorrectable_reads = uncorrectable_reads;
+  s.program_retries = program_retries;
+  s.retry_wait_ns = retry_wait_ns;
+  s.acked_volatile_lost = acked_volatile_lost;
+  s.slo_violations = slo_violations;
+  return s;
+}
 
 TenantMetrics& MetricsCollector::slot(TenantId id) {
   if (id == kInternalTenant) {
@@ -88,16 +104,23 @@ void MetricsCollector::record_volatile_loss(TenantId tenant,
 
 std::map<TenantId, TenantMetrics> MetricsCollector::all_tenants() const {
   std::map<TenantId, TenantMetrics> out;
-  for (TenantId id = 0; id < dense_.size(); ++id) {
-    if (present_[id]) out.emplace(id, dense_[id]);
-  }
-  if (internal_present_) out.emplace(kInternalTenant, internal_);
+  for_each_tenant([&out](TenantId id, const TenantMetrics& t) {
+    out.emplace(id, t);
+  });
+  return out;
+}
+
+std::map<TenantId, TenantSummary> MetricsCollector::summaries() const {
+  std::map<TenantId, TenantSummary> out;
+  for_each_tenant([&out](TenantId id, const TenantMetrics& t) {
+    out.emplace(id, t.summary());
+  });
   return out;
 }
 
 TenantMetrics MetricsCollector::aggregate() const {
   TenantMetrics agg;
-  const auto merge = [&agg](const TenantMetrics& t) {
+  for_each_tenant([&agg](TenantId, const TenantMetrics& t) {
     agg.read_latency_us.merge(t.read_latency_us);
     agg.write_latency_us.merge(t.write_latency_us);
     agg.read_retries += t.read_retries;
@@ -106,27 +129,41 @@ TenantMetrics MetricsCollector::aggregate() const {
     agg.retry_wait_ns += t.retry_wait_ns;
     agg.acked_volatile_lost += t.acked_volatile_lost;
     agg.slo_violations += t.slo_violations;
-  };
-  for (TenantId id = 0; id < dense_.size(); ++id) {
-    if (present_[id]) merge(dense_[id]);
-  }
-  if (internal_present_) merge(internal_);
+  });
   return agg;
 }
 
 LatencySums MetricsCollector::aggregate_sums() const {
   LatencySums out;
-  const auto fold = [&out](const TenantMetrics& t) {
+  for_each_tenant([&out](TenantId, const TenantMetrics& t) {
     out.read_sum_us += t.read_latency_us.sum();
     out.write_sum_us += t.write_latency_us.sum();
     out.reads += t.read_latency_us.count();
     out.writes += t.write_latency_us.count();
-  };
-  for (TenantId id = 0; id < dense_.size(); ++id) {
-    if (present_[id]) fold(dense_[id]);
-  }
-  if (internal_present_) fold(internal_);
+  });
   return out;
+}
+
+double MetricsCollector::aggregate_percentile(OpType type, double p) const {
+  const auto samples_of = [type](const TenantMetrics& t) -> const SampleSet& {
+    return type == OpType::kRead ? t.read_latency_us : t.write_latency_us;
+  };
+  std::size_t n = 0;
+  double max = 0.0;
+  for_each_tenant([&](TenantId, const TenantMetrics& t) {
+    const SampleSet& s = samples_of(t);
+    if (s.empty()) return;
+    max = n == 0 ? s.max() : std::max(max, s.max());
+    n += s.count();
+  });
+  if (n == 0) return 0.0;
+  std::vector<double> merged;
+  merged.reserve(n);
+  for_each_tenant([&](TenantId, const TenantMetrics& t) {
+    const std::vector<double>& v = samples_of(t).samples();
+    merged.insert(merged.end(), v.begin(), v.end());
+  });
+  return select_percentile(merged, p, max);
 }
 
 double MetricsCollector::conflict_rate() const {

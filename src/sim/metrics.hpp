@@ -13,6 +13,41 @@
 
 namespace ssdk::sim {
 
+/// Latency sums and counts, device-wide (MetricsCollector::aggregate_sums)
+/// or per tenant (TenantSummary). Everything the keeper's what-if scoring,
+/// the label sweep's total_us and a run's per-tenant table need, gathered
+/// in O(tenants) from the SampleSets' running sums — aggregate() by
+/// contrast copies every latency sample. The averages divide the same sum
+/// by the same count as SampleSet::mean(), so they agree bit for bit.
+struct LatencySums {
+  double read_sum_us = 0.0;
+  double write_sum_us = 0.0;
+  std::uint64_t reads = 0;
+  std::uint64_t writes = 0;
+
+  double avg_read_us() const {
+    return reads ? read_sum_us / static_cast<double>(reads) : 0.0;
+  }
+  double avg_write_us() const {
+    return writes ? write_sum_us / static_cast<double>(writes) : 0.0;
+  }
+  double total_us() const { return avg_read_us() + avg_write_us(); }
+};
+
+/// What a finished run keeps per tenant (core::RunResult::per_tenant):
+/// read/write counts and latency sums plus the reliability and SLO
+/// counters, without the samples. total_us() is bit-identical to the
+/// TenantMetrics it was taken from; distributions (percentiles) come from
+/// the device's MetricsCollector.
+struct TenantSummary : LatencySums {
+  std::uint64_t read_retries = 0;
+  std::uint64_t uncorrectable_reads = 0;
+  std::uint64_t program_retries = 0;
+  Duration retry_wait_ns = 0;
+  std::uint64_t acked_volatile_lost = 0;
+  std::uint64_t slo_violations = 0;
+};
+
 /// Latency statistics for one tenant, split by operation type, plus the
 /// tenant's share of fault-handling traffic (all zero with the fault model
 /// disabled). Retry time is already inside the latency samples — the
@@ -40,6 +75,9 @@ struct TenantMetrics {
   /// The paper's "total response latency" is the sum of the average read
   /// and average write response latencies (Section III.B).
   double total_us() const { return avg_read_us() + avg_write_us(); }
+
+  /// Counts, sums and counters, in O(1).
+  TenantSummary summary() const;
 };
 
 /// Device-level health/contention counters.
@@ -98,25 +136,6 @@ struct DeviceCounters {
   }
 };
 
-/// Device-wide latency sums and counts. Everything the keeper's what-if
-/// scoring and the label sweep's total_us need, gathered in O(tenants)
-/// from the SampleSets' running sums — aggregate() by contrast copies
-/// every latency sample.
-struct LatencySums {
-  double read_sum_us = 0.0;
-  double write_sum_us = 0.0;
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-
-  double avg_read_us() const {
-    return reads ? read_sum_us / static_cast<double>(reads) : 0.0;
-  }
-  double avg_write_us() const {
-    return writes ? write_sum_us / static_cast<double>(writes) : 0.0;
-  }
-  double total_us() const { return avg_read_us() + avg_write_us(); }
-};
-
 /// Tenant slots are a dense vector indexed by tenant id — `record` runs
 /// once per host completion, and a map lookup there was one of the larger
 /// costs on the simulator hot path. Host tenant ids are small and
@@ -161,8 +180,12 @@ class MetricsCollector {
     return id < present_.size() && present_[id] != 0;
   }
   /// Tenants that recorded at least one sample or reliability event, keyed
-  /// by id (materialized from the dense slots; ordered as before).
+  /// by id (materialized from the dense slots; ordered as before). Copies
+  /// every sample; summaries() is the O(tenants) view.
   std::map<TenantId, TenantMetrics> all_tenants() const;
+
+  /// The same tenants as all_tenants(), as sample-free summaries.
+  std::map<TenantId, TenantSummary> summaries() const;
 
   /// Aggregate over every tenant (used when normalizing Figure 2/5 bars).
   TenantMetrics aggregate() const;
@@ -170,6 +193,13 @@ class MetricsCollector {
   /// O(tenants) latency sums/counts; same totals aggregate() would report,
   /// without touching the per-sample storage.
   LatencySums aggregate_sums() const;
+
+  /// Device-wide percentile of the read (`type` kRead) or write (any
+  /// other type) latencies; 0 when there are none. Selects in place on one
+  /// merged copy reserved to the exact sample count: the value
+  /// aggregate()'s SampleSet::percentile reports, which needs the merged
+  /// set plus a selection copy of it.
+  double aggregate_percentile(OpType type, double p) const;
 
   /// Conflict rate = conflicts / page ops dispatched.
   double conflict_rate() const;
@@ -181,6 +211,16 @@ class MetricsCollector {
 
  private:
   TenantMetrics& slot(TenantId id);
+
+  /// Visit every present tenant slot as f(id, metrics), in id order with
+  /// kInternalTenant last — the order every aggregate adds in.
+  template <typename F>
+  void for_each_tenant(F&& f) const {
+    for (TenantId id = 0; id < dense_.size(); ++id) {
+      if (present_[id]) f(id, dense_[id]);
+    }
+    if (internal_present_) f(kInternalTenant, internal_);
+  }
 
   std::vector<TenantMetrics> dense_;      ///< indexed by tenant id
   std::vector<std::uint8_t> present_;     ///< parallel touched flags

@@ -59,13 +59,6 @@ Ssd::Ssd(SsdOptions options)
 
 void Ssd::reserve(std::size_t request_count) {
   requests_.reserve(requests_.size() + request_count);
-  // The op slab's high-water mark is the maximum number of *in-flight*
-  // page ops, which queueing bounds well below the trace's page count —
-  // cap the hint so a long trace doesn't reserve a slab it never fills.
-  const std::size_t op_hint =
-      std::min<std::size_t>(2 * request_count, std::size_t{1} << 16);
-  ops_.reserve(ops_.size() + op_hint);
-  free_ops_.reserve(free_ops_.size() + op_hint);
   events_.reserve(std::min<std::size_t>(2 * request_count, 4096));
 }
 
@@ -76,12 +69,12 @@ std::uint64_t Ssd::alloc_op() {
   if (!free_ops_.empty()) {
     id = free_ops_.back();
     free_ops_.pop_back();
+    ops_[id] = PageOp{};
   } else {
     id = ops_.size();
     ops_.emplace_back();
   }
   PageOp& op = ops_[id];
-  op = PageOp{};
   op.in_use = true;
   op.enq_seq = next_enq_seq_++;
   return id;
@@ -109,7 +102,7 @@ telemetry::OpClass Ssd::op_class(const PageOp& op) const {
 
 std::uint64_t Ssd::host_request_id(const PageOp& op) const {
   return op.request == kNoRequest ? telemetry::kNoRequestId
-                                  : requests_[op.request].req.id;
+                                  : requests_[op.request].id;
 }
 
 void Ssd::trace_op_span(telemetry::SpanKind kind, SimTime begin, SimTime end,
@@ -137,7 +130,12 @@ void Ssd::trace_wait(const PageOp& op) {
 // --- ingestion ----------------------------------------------------------------
 
 void Ssd::submit(std::span<const sim::IoRequest> requests) {
-  requests_.reserve(requests_.size() + requests.size());
+  // Geometric growth: a device fed in batches (a fleet epoch at a time)
+  // must not re-copy its whole table for every batch.
+  const std::size_t need = requests_.size() + requests.size();
+  if (need > requests_.capacity()) {
+    requests_.reserve(std::max(need, 2 * requests_.capacity()));
+  }
   for (const auto& r : requests) submit(r);
 }
 
@@ -149,7 +147,9 @@ void Ssd::submit(const sim::IoRequest& request) {
     throw std::invalid_argument("ssd: arrivals must be non-decreasing");
   }
   last_submitted_arrival_ = request.arrival;
-  requests_.push_back(RequestState{request, request.page_count});
+  requests_.push_back(RequestState{request.id, request.lpn, request.arrival,
+                                   request.tenant, request.page_count,
+                                   request.page_count, request.type});
 }
 
 void Ssd::run_to_completion() { run_until_arrival(kNoRequest); }
@@ -175,13 +175,13 @@ void Ssd::run_until_arrival(std::uint64_t request_index) {
     const bool take_arrival =
         have_arrival &&
         (events_.empty() ||
-         requests_[arrival_cursor_].req.arrival <= events_.next_time());
+         requests_[arrival_cursor_].arrival <= events_.next_time());
     if (take_arrival) {
       // Stop *before* the target arrival is handled (and before now_
       // advances to it): everything ordered ahead of it has run, nothing
       // at or after it has — the exact cut a fork or snapshot wants.
       if (arrival_cursor_ >= request_index) return;
-      now_ = std::max(now_, requests_[arrival_cursor_].req.arrival);
+      now_ = std::max(now_, requests_[arrival_cursor_].arrival);
       handle_arrival(arrival_cursor_++);
       maybe_audit();
     } else {
@@ -220,8 +220,8 @@ void Ssd::handle_arrival(std::uint64_t request_index) {
   // request, or the clone would never service it. Admission still
   // happens after the hook at the same instant, so a strategy switch
   // made by the hook governs this request's placement either way.
-  sched_->enqueue(request_index, rs.req.tenant, rs.req.page_count, now_);
-  if (arrival_hook_) arrival_hook_(rs.req);
+  sched_->enqueue(request_index, rs.tenant, rs.page_count, now_);
+  if (arrival_hook_) arrival_hook_(rs.request());
   pump_scheduler();
 }
 
@@ -248,7 +248,7 @@ void Ssd::pump_scheduler() {
       e.end = now_;
       e.kind = telemetry::SpanKind::kSchedWait;
       e.tenant = grant.tenant;
-      e.request_id = requests_[grant.request_index].req.id;
+      e.request_id = requests_[grant.request_index].id;
       e.detail = grant.decision_seq;
       tracer_->record(e);
     }
@@ -258,50 +258,50 @@ void Ssd::pump_scheduler() {
 
 void Ssd::admit_request(std::uint64_t request_index) {
   RequestState& rs = requests_[request_index];
-  if (rs.req.type == sim::OpType::kFlush) {
+  if (rs.type == sim::OpType::kFlush) {
     // Whole-request durability barrier, not a per-page op.
     handle_flush(request_index);
     return;
   }
-  for (std::uint32_t i = 0; i < rs.req.page_count; ++i) {
-    const std::uint64_t lpn = rs.req.lpn + i;
+  for (std::uint32_t i = 0; i < rs.page_count; ++i) {
+    const std::uint64_t lpn = rs.lpn + i;
     const std::uint64_t op_id = alloc_op();
     PageOp& op = ops_[op_id];
     op.request = request_index;
-    op.tenant = rs.req.tenant;
-    if (rs.req.type == sim::OpType::kTrim) {
+    op.tenant = rs.tenant;
+    if (rs.type == sim::OpType::kTrim) {
       // Metadata-only: no flash op, completes instantly. A dirty buffered
       // copy must be dropped too, or a later flush would resurrect it.
       free_op(op_id);
-      if (buffer_.erase(buffer_key(rs.req.tenant, lpn)) > 0) {
+      if (buffer_.erase(buffer_key(rs.tenant, lpn)) > 0) {
         // The key's FIFO entry is now stale; bound the accumulation.
         maybe_compact_buffer_fifo();
       }
-      ftl_.trim(rs.req.tenant, lpn);
+      ftl_.trim(rs.tenant, lpn);
       if (--rs.remaining == 0) {
         sim::Completion c;
-        c.request_id = rs.req.id;
-        c.tenant = rs.req.tenant;
+        c.request_id = rs.id;
+        c.tenant = rs.tenant;
         c.type = sim::OpType::kTrim;
-        c.arrival = rs.req.arrival;
+        c.arrival = rs.arrival;
         c.finish = now_;
         metrics_.record(c);
         if (tracer_) {
           telemetry::TraceEvent e;
-          e.begin = rs.req.arrival;
+          e.begin = rs.arrival;
           e.end = now_;
           e.kind = telemetry::SpanKind::kRequest;
           e.op = telemetry::OpClass::kHostTrim;
-          e.tenant = rs.req.tenant;
-          e.request_id = rs.req.id;
+          e.tenant = rs.tenant;
+          e.request_id = rs.id;
           tracer_->record(e);
         }
         if (completion_hook_) completion_hook_(c);
-        sched_->on_complete(rs.req.tenant);
+        sched_->on_complete(rs.tenant);
         pump_scheduler();
       }
-    } else if (rs.req.type == sim::OpType::kRead) {
-      if (buffer_holds(rs.req.tenant, lpn)) {
+    } else if (rs.type == sim::OpType::kRead) {
+      if (buffer_holds(rs.tenant, lpn)) {
         // Read hit on a dirty buffered page: served from DRAM.
         free_op(op_id);
         ++buffer_hits_;
@@ -311,8 +311,8 @@ void Ssd::admit_request(std::uint64_t request_index) {
           e.end = now_ + options_.write_buffer.dram_ns;
           e.kind = telemetry::SpanKind::kBufferHit;
           e.op = telemetry::OpClass::kHostRead;
-          e.tenant = rs.req.tenant;
-          e.request_id = rs.req.id;
+          e.tenant = rs.tenant;
+          e.request_id = rs.id;
           e.detail = lpn;
           tracer_->record(e);
         }
@@ -322,24 +322,24 @@ void Ssd::admit_request(std::uint64_t request_index) {
       }
       op.kind = OpKind::kHostRead;
       op.lpn = lpn;
-      op.ppn = ftl_.translate_read(rs.req.tenant, lpn);
+      op.ppn = ftl_.translate_read(rs.tenant, lpn);
       op.addr = options_.geometry.decode(op.ppn);
       dispatch_read(op_id);
     } else {
-      if (buffer_write(rs.req.tenant, lpn)) {
+      if (buffer_write(rs.tenant, lpn)) {
         free_op(op_id);
         // Acked at DRAM latency without touching flash: the completion
         // will be volatile, and a power cut before the eviction lands
         // loses this page (counted per tenant at power_off).
-        ++rs.volatile_pages;
+        ++tally_slot(request_index).volatile_pages;
         if (tracer_) {
           telemetry::TraceEvent e;
           e.begin = now_;
           e.end = now_ + options_.write_buffer.dram_ns;
           e.kind = telemetry::SpanKind::kBufferHit;
           e.op = telemetry::OpClass::kHostWrite;
-          e.tenant = rs.req.tenant;
-          e.request_id = rs.req.id;
+          e.tenant = rs.tenant;
+          e.request_id = rs.id;
           e.detail = lpn;
           tracer_->record(e);
         }
@@ -350,7 +350,7 @@ void Ssd::admit_request(std::uint64_t request_index) {
       }
       op.kind = OpKind::kHostWrite;
       op.lpn = lpn;
-      op.ppn = ftl_.allocate_write(rs.req.tenant, lpn, load_view_);
+      op.ppn = ftl_.allocate_write(rs.tenant, lpn, load_view_);
       op.addr = options_.geometry.decode(op.ppn);
       // The OOB seq is drawn in L2P-update order (here, at placement) but
       // recorded on flash only when the program completes — the window in
@@ -466,7 +466,8 @@ void Ssd::handle_flush(std::uint64_t request_index) {
   flush_write_buffer();
   const std::uint64_t threshold = next_enq_seq_;
   std::uint32_t remaining = 0;
-  for (const PageOp& op : ops_) {
+  for (std::size_t id = 0; id < ops_.size(); ++id) {
+    const PageOp& op = ops_[id];
     if (op.in_use && op.kind == OpKind::kFlushWrite &&
         op.enq_seq < threshold) {
       ++remaining;
@@ -831,7 +832,8 @@ void Ssd::record_resolved_migration_oob(const PageOp& op) {
   // unreadable instead would lose an acked write whose source copy gets
   // erased with the victim before a cut.
   ftl::OobStore& oob = ftl_.oob();
-  for (const PageOp& other : ops_) {
+  for (std::size_t id = 0; id < ops_.size(); ++id) {
+    const PageOp& other = ops_[id];
     if (!other.in_use || other.ppn != op.gc_src) continue;
     if (other.kind == OpKind::kHostWrite ||
         other.kind == OpKind::kFlushWrite) {
@@ -910,8 +912,8 @@ void Ssd::handle_uncorrectable_read(std::uint64_t op_id) {
 }
 
 void Ssd::handle_write_fault(std::uint64_t op_id, bool program_failed) {
-  // retire_and_rescue below spawns rescue ops and can grow the op slab,
-  // invalidating any PageOp reference held across it — copy first.
+  // Work from a copy: the branches below re-place the op in its slab
+  // record, while the undo and retirement steps need the failed placement.
   const PageOp snap = ops_[op_id];
   const std::uint64_t plane = options_.geometry.plane_id(snap.addr);
   const std::uint32_t block = snap.addr.block;
@@ -1008,38 +1010,40 @@ void Ssd::finish_host_op(std::uint64_t op_id) {
 void Ssd::complete_request_page(std::uint64_t request_index, bool failed) {
   RequestState& rs = requests_[request_index];
   assert(rs.remaining > 0);
-  if (failed) ++rs.failed;
+  if (failed) ++tally_slot(request_index).failed;
   if (--rs.remaining == 0) {
+    const RequestTally tallied = tally(request_index);
     sim::Completion c;
-    c.request_id = rs.req.id;
-    c.tenant = rs.req.tenant;
-    c.type = rs.req.type;
-    c.arrival = rs.req.arrival;
+    c.request_id = rs.id;
+    c.tenant = rs.tenant;
+    c.type = rs.type;
+    c.arrival = rs.arrival;
     c.finish = now_;
-    c.status = rs.failed ? sim::IoStatus::kUncorrectable : sim::IoStatus::kOk;
-    c.failed_pages = rs.failed;
-    c.volatile_pages = rs.volatile_pages;
+    c.status = tallied.failed ? sim::IoStatus::kUncorrectable
+                              : sim::IoStatus::kOk;
+    c.failed_pages = tallied.failed;
+    c.volatile_pages = tallied.volatile_pages;
     metrics_.record(c);
     if (tracer_) {
       telemetry::TraceEvent e;
-      e.begin = rs.req.arrival;
+      e.begin = rs.arrival;
       e.end = now_;
       e.kind = telemetry::SpanKind::kRequest;
-      e.op = rs.req.type == sim::OpType::kRead
+      e.op = rs.type == sim::OpType::kRead
                  ? telemetry::OpClass::kHostRead
-                 : rs.req.type == sim::OpType::kFlush
+                 : rs.type == sim::OpType::kFlush
                        ? telemetry::OpClass::kHostFlush
                        : telemetry::OpClass::kHostWrite;
-      e.tenant = rs.req.tenant;
-      e.request_id = rs.req.id;
-      e.detail = rs.failed;
+      e.tenant = rs.tenant;
+      e.request_id = rs.id;
+      e.detail = tallied.failed;
       tracer_->record(e);
     }
     if (completion_hook_) completion_hook_(c);
     // The finished request leaves the admission window; grant whatever
     // the policy lines up next (no-op while this completion happened
     // inside an admission — the outer pump continues the drain).
-    sched_->on_complete(rs.req.tenant);
+    sched_->on_complete(rs.tenant);
     pump_scheduler();
   }
 }

@@ -36,6 +36,7 @@
 #include "sim/request.hpp"
 #include "sim/timing.hpp"
 #include "telemetry/tracer.hpp"
+#include "util/paged_vector.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
 
@@ -128,10 +129,11 @@ class Ssd {
 
   // --- request ingestion ----------------------------------------------------
 
-  /// Pre-size the request table, op slab and event heap for a trace of
-  /// about `request_count` requests, so the replay loop never regrows
-  /// them. Optional — submit() also reserves the request table — and
-  /// additive across calls.
+  /// Pre-size the request table (exactly `request_count` more records)
+  /// and the event heap for a trace of about `request_count` requests.
+  /// Optional — submit() grows the table geometrically on its own — and
+  /// additive across calls. The op slab is not reserved: it grows a
+  /// 256-record page at a time as ops go in flight, without copying.
   void reserve(std::size_t request_count);
 
   /// Append requests (arrival times must be non-decreasing across all
@@ -256,6 +258,12 @@ class Ssd {
   }
   std::size_t unit_count() const { return units_.size(); }
 
+  // --- replay memory --------------------------------------------------------
+
+  /// Pages of page-op records the op slab has allocated; it never shrinks
+  /// below its in-flight high-water mark. Exposed for tests.
+  std::size_t op_slab_pages() const { return ops_.page_count(); }
+
   // --- snapshot / fork ------------------------------------------------------
 
   /// Deep-copy the complete device mid-simulation. The fork shares nothing
@@ -329,6 +337,8 @@ class Ssd {
   // Op queues are rings, not deques: after warm-up their capacity is
   // stable and steady-state queueing allocates nothing.
   using OpQueue = util::RingBuffer<std::uint64_t>;
+  /// The op slab: page-op records in pages that never move.
+  using OpSlab = util::PagedVector<PageOp>;
 
   struct ChannelState {
     bool bus_busy = false;
@@ -346,10 +356,29 @@ class Ssd {
     OpQueue write_q;     ///< writes awaiting bus + unit
   };
 
+  /// One submitted host request: the IoRequest's fields reordered so that
+  /// `remaining` fills what would be padding — 40 bytes where an embedded
+  /// IoRequest plus three counts took 56. The two counts only fault
+  /// injection and the write buffer produce live in request_tallies_.
   struct RequestState {
-    sim::IoRequest req;
-    std::uint32_t remaining = 0;
-    std::uint32_t failed = 0;  ///< pages that were uncorrectable
+    std::uint64_t id = 0;
+    std::uint64_t lpn = 0;
+    SimTime arrival = 0;
+    sim::TenantId tenant = 0;
+    std::uint32_t page_count = 0;
+    std::uint32_t remaining = 0;  ///< pages not yet complete
+    sim::OpType type = sim::OpType::kRead;
+
+    sim::IoRequest request() const {
+      return sim::IoRequest{id, tenant, type, lpn, page_count, arrival};
+    }
+  };
+  static_assert(sizeof(RequestState) == 40,
+                "one request record per submitted request: keep it packed");
+
+  /// A request's side counts (request_tallies_).
+  struct RequestTally {
+    std::uint32_t failed = 0;  ///< pages that were uncorrectable (faults)
     /// Pages of this write absorbed by the volatile DRAM buffer; the
     /// completion is acked-durable only when this is zero.
     std::uint32_t volatile_pages = 0;
@@ -386,6 +415,20 @@ class Ssd {
   // Op slab management.
   std::uint64_t alloc_op();
   void free_op(std::uint64_t id);
+
+  /// Request `index`'s side counts; all zero when none was ever recorded.
+  RequestTally tally(std::uint64_t index) const {
+    return index < request_tallies_.size() ? request_tallies_[index]
+                                           : RequestTally{};
+  }
+  /// Mutable side counts of request `index`, allocating request_tallies_
+  /// (to the request table's size) on first use.
+  RequestTally& tally_slot(std::uint64_t index) {
+    if (index >= request_tallies_.size()) {
+      request_tallies_.resize(requests_.size());
+    }
+    return request_tallies_[index];
+  }
 
   /// Periodic-audit tick, called once per handled arrival.
   void maybe_audit() {
@@ -588,10 +631,18 @@ class Ssd {
   std::vector<Duration> unit_busy_ns_;
 
   std::vector<RequestState> requests_;
+  /// RequestTally per request, indexed like requests_ but allocated only
+  /// once a count first becomes non-zero: replays without fault injection
+  /// or a write buffer never allocate it. Shorter than requests_ when the
+  /// later requests never recorded a count.
+  std::vector<RequestTally> request_tallies_;
   std::uint64_t arrival_cursor_ = 0;
   SimTime last_submitted_arrival_ = 0;
 
-  std::vector<PageOp> ops_;
+  /// Growth copies nothing and a fork copies only the pages in use; freed
+  /// slots go on free_ops_. Slot ids are baked into queued op ids, so
+  /// OPSL serializes every slot, free ones included.
+  OpSlab ops_;
   std::vector<std::uint64_t> free_ops_;
   std::uint64_t next_enq_seq_ = 0;
 

@@ -205,13 +205,20 @@ void Ssd::check_invariants() const {
   SSDK_CHECK_MSG(buffer_fifo_.size() >= buffer_.size(),
                  "ssd: eviction FIFO smaller than the live buffer");
 
-  // --- requests: volatile-page accounting ----------------------------------
-  for (std::size_t i = 0; i < requests_.size(); ++i) {
-    SSDK_CHECK_MSG(requests_[i].volatile_pages <= requests_[i].req.page_count,
-                   "ssd: request " + std::to_string(i) + " absorbed " +
-                       std::to_string(requests_[i].volatile_pages) +
-                       " buffered pages > its page count " +
-                       std::to_string(requests_[i].req.page_count));
+  // --- requests: side counts within the page count ------------------------
+  SSDK_CHECK_MSG(request_tallies_.size() <= requests_.size(),
+                 "ssd: " + std::to_string(request_tallies_.size()) +
+                     " request tallies for " +
+                     std::to_string(requests_.size()) + " requests");
+  for (std::size_t i = 0; i < request_tallies_.size(); ++i) {
+    const RequestTally& t = request_tallies_[i];
+    SSDK_CHECK_MSG(t.volatile_pages <= requests_[i].page_count &&
+                       t.failed <= requests_[i].page_count,
+                   "ssd: request " + std::to_string(i) + " tallies " +
+                       std::to_string(t.volatile_pages) + " buffered and " +
+                       std::to_string(t.failed) +
+                       " failed pages against its page count " +
+                       std::to_string(requests_[i].page_count));
   }
 
   // --- flush barriers mirror the in-flight kFlushWrite population ----------
@@ -224,7 +231,8 @@ void Ssd::check_invariants() const {
                    "ssd: flush barrier threshold " +
                        std::to_string(fb.threshold) + " > next_enq_seq");
     std::uint32_t actual = 0;
-    for (const PageOp& op : ops_) {
+    for (std::size_t id = 0; id < ops_.size(); ++id) {
+      const PageOp& op = ops_[id];
       if (op.in_use && op.kind == OpKind::kFlushWrite &&
           op.enq_seq < fb.threshold) {
         ++actual;
@@ -284,8 +292,9 @@ void Ssd::check_invariants() const {
     const RequestState& rs = requests_[idx];
     // A held request must be virgin: no page dispatched, nothing failed,
     // nothing absorbed by the write buffer.
-    SSDK_CHECK_MSG(rs.remaining == rs.req.page_count && rs.failed == 0 &&
-                       rs.volatile_pages == 0,
+    const RequestTally t = tally(idx);
+    SSDK_CHECK_MSG(rs.remaining == rs.page_count && t.failed == 0 &&
+                       t.volatile_pages == 0,
                    "ssd: scheduler holds request " + std::to_string(idx) +
                        " that already started executing");
   }

@@ -209,18 +209,18 @@ bool Ssd::maybe_fire_power_cut() {
   const bool take_arrival =
       have_arrival &&
       (events_.empty() ||
-       requests_[arrival_cursor_].req.arrival <= events_.next_time());
+       requests_[arrival_cursor_].arrival <= events_.next_time());
   if (pm.cut_at_arrival != ~std::uint64_t{0}) {
     // Fire just before the nth arrival is handled, at its arrival time.
     if (!(take_arrival && arrival_cursor_ >= pm.cut_at_arrival)) {
       return false;
     }
-    now_ = std::max(now_, requests_[arrival_cursor_].req.arrival);
+    now_ = std::max(now_, requests_[arrival_cursor_].arrival);
   } else {
     // Fire when the next executable step is at/past the scheduled time.
     // The run loop guarantees at least one of the two sources is ready.
     const SimTime next_time = take_arrival
-                                  ? requests_[arrival_cursor_].req.arrival
+                                  ? requests_[arrival_cursor_].arrival
                                   : events_.next_time();
     if (next_time < pm.cut_at_time) return false;
     now_ = std::max(now_, pm.cut_at_time);

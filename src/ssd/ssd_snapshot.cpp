@@ -39,12 +39,37 @@ void save_ring(snapshot::StateWriter& w,
   for (std::size_t i = 0; i < q.size(); ++i) w.u64(q.at(i));
 }
 
-void load_ring(snapshot::StateReader& r,
-               util::RingBuffer<std::uint64_t>& q) {
+/// Loads a ring; returns the offset of its count, so the caller can name
+/// entry k's offset (count + 8 + 8k) once the op slab is known.
+std::uint64_t load_ring(snapshot::StateReader& r,
+                        util::RingBuffer<std::uint64_t>& q) {
+  const std::uint64_t at = r.offset();
   const std::uint64_t n = r.checked_count(8);
   q.clear();
   q.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) q.push_back(r.u64());
+  return at;
+}
+
+[[noreturn]] void reject(std::uint64_t at, const std::string& what) {
+  throw snapshot::SnapshotError(
+      "snapshot: " + what + " at offset " + std::to_string(at), at);
+}
+
+/// "request 7", "op 12": names an element in a rejection message.
+std::string item(const char* kind, std::uint64_t index) {
+  return std::string(kind) + " " + std::to_string(index);
+}
+
+/// Request `index`'s page count `field` must not exceed its page count.
+void require_within_pages(std::uint64_t at, std::uint64_t index,
+                          const char* field, std::uint32_t value,
+                          std::uint32_t page_count) {
+  if (value > page_count) {
+    reject(at, item("request", index) + " " + field + " " +
+                   std::to_string(value) + " exceeds its " +
+                   std::to_string(page_count) + " pages");
+  }
 }
 
 }  // namespace
@@ -82,17 +107,23 @@ void Ssd::save_state(snapshot::StateWriter& w) const {
 
   // Host request table and arrival cursor.
   w.tag("REQS");
+  // Every request writes all nine fields; a count request_tallies_ never
+  // recorded is written as zero.
   w.u64(requests_.size());
-  for (const RequestState& rs : requests_) {
-    w.u64(rs.req.id);
-    w.u32(rs.req.tenant);
-    w.u8(static_cast<std::uint8_t>(rs.req.type));
-    w.u64(rs.req.lpn);
-    w.u32(rs.req.page_count);
-    w.u64(rs.req.arrival);
+  for (std::size_t i = 0; i < requests_.size(); ++i) {
+    const RequestState& rs = requests_[i];
+    const RequestTally tallied = i < request_tallies_.size()
+                                     ? request_tallies_[i]
+                                     : RequestTally{};
+    w.u64(rs.id);
+    w.u32(rs.tenant);
+    w.u8(static_cast<std::uint8_t>(rs.type));
+    w.u64(rs.lpn);
+    w.u32(rs.page_count);
+    w.u64(rs.arrival);
     w.u32(rs.remaining);
-    w.u32(rs.failed);
-    w.u32(rs.volatile_pages);
+    w.u32(tallied.failed);
+    w.u32(tallied.volatile_pages);
   }
   w.u64(arrival_cursor_);
   w.u64(last_submitted_arrival_);
@@ -101,7 +132,8 @@ void Ssd::save_state(snapshot::StateWriter& w) const {
   // queued op ids, so the layout must survive verbatim).
   w.tag("OPSL");
   w.u64(ops_.size());
-  for (const PageOp& op : ops_) {
+  for (std::size_t id = 0; id < ops_.size(); ++id) {
+    const PageOp& op = ops_[id];
     w.u64(op.request);
     w.u32(op.tenant);
     w.u8(static_cast<std::uint8_t>(op.kind));
@@ -187,6 +219,14 @@ void Ssd::load_state(snapshot::StateReader& r) {
   events_.load_state(r);
   ftl_.load_state(r);
 
+  // Op-id queues are checked against the op slab once OPSL is loaded:
+  // remember where each one sits.
+  struct QueueAt {
+    const OpQueue* queue;
+    std::uint64_t at;  ///< offset of the ring's count
+  };
+  std::vector<QueueAt> queues;
+
   r.tag("CHNL");
   const std::uint64_t nchan = r.checked_count(1);
   if (nchan != channels_.size()) {
@@ -200,7 +240,7 @@ void Ssd::load_state(snapshot::StateReader& r) {
   for (ChannelState& c : channels_) {
     c.bus_busy = r.boolean();
     c.bus_free_at = r.u64();
-    load_ring(r, c.read_q);
+    queues.push_back({&c.read_q, load_ring(r, c.read_q)});
     c.rr_toggle = r.boolean();
   }
 
@@ -217,46 +257,118 @@ void Ssd::load_state(snapshot::StateReader& r) {
   for (UnitState& u : units_) {
     u.busy = r.boolean();
     u.busy_until = r.u64();
-    load_ring(r, u.read_wait);
-    load_ring(r, u.erase_wait);
-    load_ring(r, u.write_q);
+    queues.push_back({&u.read_wait, load_ring(r, u.read_wait)});
+    queues.push_back({&u.erase_wait, load_ring(r, u.erase_wait)});
+    queues.push_back({&u.write_q, load_ring(r, u.write_q)});
   }
-  channel_busy_ns_ = r.vec_u64();
-  unit_busy_ns_ = r.vec_u64();
+  // Busy-time accumulators are indexed by channel and by unit.
+  const auto load_per = [&r](std::vector<Duration>& out, std::size_t expected,
+                             const char* what) {
+    const std::uint64_t at = r.offset();
+    out = r.vec_u64();
+    if (out.size() != expected) {
+      reject(at, std::string(what) + " busy times list " +
+                     std::to_string(out.size()) + " entries, not " +
+                     std::to_string(expected));
+    }
+  };
+  load_per(channel_busy_ns_, channels_.size(), "channel");
+  load_per(unit_busy_ns_, units_.size(), "unit");
 
   r.tag("REQS");
   const std::uint64_t nreq =
       r.checked_count(8 + 4 + 1 + 8 + 4 + 8 + 4 + 4 + 4);
   requests_.assign(nreq, RequestState{});
-  for (RequestState& rs : requests_) {
-    rs.req.id = r.u64();
-    rs.req.tenant = r.u32();
-    rs.req.type = static_cast<sim::OpType>(r.u8());
-    rs.req.lpn = r.u64();
-    rs.req.page_count = r.u32();
-    rs.req.arrival = r.u64();
+  request_tallies_.clear();
+  for (std::uint64_t i = 0; i < nreq; ++i) {
+    RequestState& rs = requests_[i];
+    rs.id = r.u64();
+    rs.tenant = r.u32();
+    const std::uint64_t type_at = r.offset();
+    const std::uint8_t type = r.u8();
+    if (type > static_cast<std::uint8_t>(sim::OpType::kFlush)) {
+      reject(type_at, item("request", i) + " type byte " +
+                          std::to_string(type) + " is not an OpType");
+    }
+    rs.type = static_cast<sim::OpType>(type);
+    rs.lpn = r.u64();
+    const std::uint64_t pages_at = r.offset();
+    rs.page_count = r.u32();
+    if (rs.page_count == 0) {
+      reject(pages_at, item("request", i) + " has zero pages");
+    }
+    rs.arrival = r.u64();
+    const std::uint64_t remaining_at = r.offset();
     rs.remaining = r.u32();
-    rs.failed = r.u32();
-    rs.volatile_pages = r.u32();
+    require_within_pages(remaining_at, i, "remaining count", rs.remaining,
+                         rs.page_count);
+    RequestTally tallied;
+    const std::uint64_t failed_at = r.offset();
+    tallied.failed = r.u32();
+    require_within_pages(failed_at, i, "failed count", tallied.failed,
+                         rs.page_count);
+    const std::uint64_t volatile_at = r.offset();
+    tallied.volatile_pages = r.u32();
+    require_within_pages(volatile_at, i, "volatile page count",
+                         tallied.volatile_pages, rs.page_count);
+    if (tallied.failed != 0 || tallied.volatile_pages != 0) {
+      request_tallies_.resize(nreq);
+      request_tallies_[i] = tallied;
+    }
   }
+  const std::uint64_t cursor_at = r.offset();
   arrival_cursor_ = r.u64();
+  if (arrival_cursor_ > nreq) {
+    reject(cursor_at, "arrival cursor " + std::to_string(arrival_cursor_) +
+                          " is past the " + std::to_string(nreq) +
+                          "-entry request table");
+  }
   last_submitted_arrival_ = r.u64();
 
   r.tag("OPSL");
   const std::uint64_t nops = r.checked_count(8 + 4 + 1 + 5 * 4 + 8 + 8 + 4 +
                                              8 + 8 + 8 + 8 + 4 + 1);
+  const auto& g = options_.geometry;
+  // Job indices of in-use GC and erase ops, checked once GCJB is loaded.
+  struct JobRef {
+    std::uint64_t op;
+    std::uint32_t job;
+    std::uint64_t at;
+  };
+  std::vector<JobRef> job_refs;
   ops_.assign(nops, PageOp{});
-  for (PageOp& op : ops_) {
+  for (std::uint64_t id = 0; id < nops; ++id) {
+    PageOp& op = ops_[id];
+    const std::uint64_t request_at = r.offset();
     op.request = r.u64();
     op.tenant = r.u32();
-    op.kind = static_cast<OpKind>(r.u8());
-    op.addr.channel = r.u32();
-    op.addr.chip = r.u32();
-    op.addr.plane = r.u32();
-    op.addr.block = r.u32();
-    op.addr.page = r.u32();
+    const std::uint64_t kind_at = r.offset();
+    const std::uint8_t kind = r.u8();
+    if (kind > static_cast<std::uint8_t>(OpKind::kFlushWrite)) {
+      reject(kind_at, item("op", id) + " kind byte " + std::to_string(kind) +
+                          " is not an OpKind");
+    }
+    op.kind = static_cast<OpKind>(kind);
+    // unit_of(addr) indexes units_, and the block and page pick flash
+    // state: every component must lie inside the geometry.
+    const auto component = [&](const char* field, std::uint32_t limit) {
+      const std::uint64_t at = r.offset();
+      const std::uint32_t v = r.u32();
+      if (v >= limit) {
+        reject(at, item("op", id) + " address " + field + " " +
+                       std::to_string(v) + " is outside the geometry's " +
+                       std::to_string(limit));
+      }
+      return v;
+    };
+    op.addr.channel = component("channel", g.channels);
+    op.addr.chip = component("chip", g.chips_per_channel);
+    op.addr.plane = component("plane", g.planes_per_chip);
+    op.addr.block = component("block", g.blocks_per_plane);
+    op.addr.page = component("page", g.pages_per_block);
     op.ppn = r.u64();
     op.gc_src = r.u64();
+    const std::uint64_t job_at = r.offset();
     op.gc_job = r.u32();
     op.lpn = r.u64();
     op.oob_seq = r.u64();
@@ -264,34 +376,93 @@ void Ssd::load_state(snapshot::StateReader& r) {
     op.dispatched_at = r.u64();
     op.attempts = r.u32();
     op.in_use = r.boolean();
-  }
-  free_ops_ = r.vec_u64();
-  next_enq_seq_ = r.u64();
-  // grant_seq_ is derived state, not wire format: rebuild it from each
-  // unit's busy flag and front write, which must name a slab slot.
-  for (std::size_t i = 0; i < units_.size(); ++i) {
-    const OpQueue& q = units_[i].write_q;
-    if (!q.empty() && q.front() >= ops_.size()) {
-      throw snapshot::SnapshotError(
-          "snapshot: unit " + std::to_string(i) + " write queue names op " +
-              std::to_string(q.front()) + " outside the " +
-              std::to_string(ops_.size()) + "-entry op slab at offset " +
-              std::to_string(r.offset()),
-          r.offset());
+    if (!op.in_use) continue;
+    const bool host =
+        op.kind == OpKind::kHostRead || op.kind == OpKind::kHostWrite;
+    if ((host || op.request != kNoRequest) && op.request >= nreq) {
+      reject(request_at, item("op", id) + " names request " +
+                             std::to_string(op.request) + " past the " +
+                             std::to_string(nreq) + "-entry request table");
     }
-    grant_seq_[i] = grant_key(i);
+    if (op.kind == OpKind::kGcRead || op.kind == OpKind::kGcWrite ||
+        op.kind == OpKind::kErase) {
+      job_refs.push_back({id, op.gc_job, job_at});
+    }
   }
+  const std::uint64_t free_at = r.offset();
+  free_ops_ = r.vec_u64();
+  // alloc_op writes ops_[id] for every id it pops: each must be a free
+  // slot of the slab, listed once.
+  std::vector<std::uint8_t> listed(nops, 0);
+  for (std::size_t k = 0; k < free_ops_.size(); ++k) {
+    const std::uint64_t id = free_ops_[k];
+    const std::uint64_t at = free_at + 8 + 8 * k;
+    if (id >= nops) {
+      reject(at, "free list names op " + std::to_string(id) +
+                     " outside the " + std::to_string(nops) +
+                     "-entry op slab");
+    }
+    if (ops_[id].in_use) {
+      reject(at, "free list names in-use op " + std::to_string(id));
+    }
+    if (listed[id]) {
+      reject(at, "free list names op " + std::to_string(id) + " twice");
+    }
+    listed[id] = 1;
+  }
+  next_enq_seq_ = r.u64();
+  // Every queued op id must name an in-use slot.
+  for (const QueueAt& q : queues) {
+    for (std::size_t k = 0; k < q.queue->size(); ++k) {
+      const std::uint64_t id = q.queue->at(k);
+      const std::uint64_t at = q.at + 8 + 8 * k;
+      if (id >= nops) {
+        reject(at, "op queue names op " + std::to_string(id) +
+                       " outside the " + std::to_string(nops) +
+                       "-entry op slab");
+      }
+      if (!ops_[id].in_use) {
+        reject(at, "op queue names free op slot " + std::to_string(id));
+      }
+    }
+  }
+  // grant_seq_ is derived state, not wire format: rebuild it from each
+  // unit's busy flag and front write.
+  for (std::size_t i = 0; i < units_.size(); ++i) grant_seq_[i] = grant_key(i);
 
   r.tag("GCJB");
   const std::uint64_t njobs = r.checked_count(8 + 4 + 4 + 1 + 1 + 1);
   gc_jobs_.assign(njobs, GcJob{});
-  for (GcJob& j : gc_jobs_) {
-    j.plane_id = r.u64();
-    j.victim = r.u32();
-    j.outstanding = r.u32();
-    j.active = r.boolean();
-    j.wl_round = r.boolean();
-    j.rescue = r.boolean();
+  for (std::uint64_t j = 0; j < njobs; ++j) {
+    GcJob& job = gc_jobs_[j];
+    const std::uint64_t plane_at = r.offset();
+    job.plane_id = r.u64();
+    if (job.plane_id >= g.total_planes()) {
+      reject(plane_at, item("gc job", j) + " plane " +
+                           std::to_string(job.plane_id) +
+                           " is outside the geometry's " +
+                           std::to_string(g.total_planes()) + " planes");
+    }
+    const std::uint64_t victim_at = r.offset();
+    job.victim = r.u32();
+    if (job.victim >= g.blocks_per_plane) {
+      reject(victim_at, item("gc job", j) + " victim block " +
+                            std::to_string(job.victim) +
+                            " is outside the geometry's " +
+                            std::to_string(g.blocks_per_plane) +
+                            " blocks per plane");
+    }
+    job.outstanding = r.u32();
+    job.active = r.boolean();
+    job.wl_round = r.boolean();
+    job.rescue = r.boolean();
+  }
+  for (const JobRef& ref : job_refs) {
+    if (ref.job >= njobs) {
+      reject(ref.at, item("op", ref.op) + " names gc job " +
+                         std::to_string(ref.job) + " past the " +
+                         std::to_string(njobs) + "-job table");
+    }
   }
   gc_job_of_plane_ = r.vec_u32();
   if (gc_job_of_plane_.size() != options_.geometry.total_planes()) {
@@ -328,8 +499,16 @@ void Ssd::load_state(snapshot::StateReader& r) {
   cut_fired_ = r.boolean();
   const std::uint64_t nbarriers = r.checked_count(8 + 8 + 4);
   flush_barriers_.assign(nbarriers, FlushBarrier{});
-  for (FlushBarrier& fb : flush_barriers_) {
+  for (std::uint64_t b = 0; b < nbarriers; ++b) {
+    FlushBarrier& fb = flush_barriers_[b];
+    const std::uint64_t request_at = r.offset();
     fb.request = r.u64();
+    if (fb.request >= nreq) {
+      reject(request_at, item("flush barrier", b) + " names request " +
+                             std::to_string(fb.request) +
+                             " past the " + std::to_string(nreq) +
+                             "-entry request table");
+    }
     fb.threshold = r.u64();
     fb.remaining = r.u32();
   }

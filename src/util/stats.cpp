@@ -75,25 +75,29 @@ void SampleSet::restore(std::vector<double> samples) {
   }
 }
 
-double SampleSet::percentile(double p) const {
-  assert(!samples_.empty());
+double select_percentile(std::span<double> values, double p, double max) {
+  assert(!values.empty());
   assert(p >= 0.0 && p <= 100.0);
-  const std::size_t n = samples_.size();
-  if (n == 1) return samples_[0];
+  const std::size_t n = values.size();
   const double rank = p / 100.0 * static_cast<double>(n - 1);
   const auto lo = static_cast<std::size_t>(rank);
   const double frac = rank - static_cast<double>(lo);
-  if (lo + 1 >= n) return max_;
-  // Two order statistics via selection on a scratch copy: O(n) per query
-  // instead of a cached full sort. The selected values are exact order
-  // statistics, so the interpolated result matches the sorted-array
-  // formula bit for bit.
-  scratch_.assign(samples_.begin(), samples_.end());
-  const auto nth = scratch_.begin() + static_cast<std::ptrdiff_t>(lo);
-  std::nth_element(scratch_.begin(), nth, scratch_.end());
+  if (lo + 1 >= n) return max;
+  // Two order statistics via selection: O(n) per query instead of a full
+  // sort.
+  const auto nth = values.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(values.begin(), nth, values.end());
   const double low = *nth;
-  const double high = *std::min_element(nth + 1, scratch_.end());
+  const double high = *std::min_element(nth + 1, values.end());
   return low * (1.0 - frac) + high * frac;
+}
+
+double SampleSet::percentile(double p) const {
+  assert(!samples_.empty());
+  // Selection reorders, so it runs on a scratch copy: the sample order is
+  // never disturbed.
+  scratch_.assign(samples_.begin(), samples_.end());
+  return select_percentile(scratch_, p, max_);
 }
 
 std::string summarize(const SampleSet& s) {

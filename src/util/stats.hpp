@@ -5,6 +5,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,15 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
 };
+
+/// Linear-interpolated percentile, p in [0, 100], of a non-empty sample
+/// list, selected in place: `values` is reordered. `max` must be the
+/// largest value; it is the answer when p lands on the last rank. The two
+/// order statistics are nth_element's pick and the minimum above it —
+/// exact order statistics, so the result matches the sorted-array formula
+/// bit for bit whatever order `values` arrives in. SampleSet::percentile
+/// and the device-wide percentiles of sim::MetricsCollector both use it.
+double select_percentile(std::span<double> values, double p, double max);
 
 /// Collects raw samples and answers percentile queries. Intended for
 /// latency distributions where the full sample set fits in memory.

@@ -61,9 +61,11 @@ TEST(Report, MarkdownIncludesAggregateRow) {
   result.avg_read_us = 10.0;
   result.avg_write_us = 20.0;
   result.total_us = 30.0;
-  sim::TenantMetrics t;
-  t.read_latency_us.add(10.0);
-  t.write_latency_us.add(20.0);
+  sim::TenantSummary t;
+  t.reads = 1;
+  t.read_sum_us = 10.0;
+  t.writes = 1;
+  t.write_sum_us = 20.0;
   result.per_tenant[3] = t;
   const std::string md = format_run_markdown(result);
   EXPECT_NE(md.find("| 3 |"), std::string::npos);
@@ -83,7 +85,7 @@ TEST(Report, MarkdownSurfacesAbortReason) {
 
 TEST(Report, ReliabilityMarkdownCarriesRetryAndDeviceCounters) {
   RunResult result;
-  sim::TenantMetrics t;
+  sim::TenantSummary t;
   t.read_retries = 7;
   t.uncorrectable_reads = 2;
   t.program_retries = 3;

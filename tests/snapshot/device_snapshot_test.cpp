@@ -16,6 +16,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -582,6 +583,253 @@ TEST(DeviceSnapshot, RejectsResealedFtlMutations) {
       policy.mode_at);
 }
 
+// --- device sections: CHNL, UNIT, REQS, OPSL, GCJB, PWRS --------------------
+
+/// Byte offsets of the device-level fields (layouts in
+/// src/ssd/ssd_snapshot.cpp, Ssd::save_state).
+struct DeviceLayout {
+  static constexpr std::size_t kRequestBytes = 45;
+  static constexpr std::size_t kOpBytes = 90;
+  static constexpr std::size_t kJobBytes = 19;
+  struct Queue {
+    std::size_t count_at;  ///< u64 length, then u64 op ids
+    std::uint64_t length;
+  };
+  std::vector<Queue> queues;  ///< channel read_q, then unit queues
+  std::size_t busy_at[2] = {0, 0};  ///< u64 length of channel, unit times
+  std::size_t requests_at = 0;
+  std::uint64_t requests = 0;
+  std::size_t ops_at = 0;
+  std::uint64_t ops = 0;
+  std::size_t free_at = 0;  ///< u64 length, then u64 ids
+  std::uint64_t free_len = 0;
+  std::size_t jobs_at = 0;
+  std::uint64_t jobs = 0;
+  std::size_t barriers_at = 0;
+  std::uint64_t barriers = 0;
+
+  std::size_t request(std::uint64_t i) const {
+    return requests_at + kRequestBytes * i;
+  }
+  std::size_t op(std::uint64_t i) const { return ops_at + kOpBytes * i; }
+  std::size_t job(std::uint64_t j) const { return jobs_at + kJobBytes * j; }
+};
+
+std::size_t find_tag_from(const std::vector<char>& payload, const char* tag,
+                          std::size_t from) {
+  while (std::memcmp(payload.data() + from, tag, 4) != 0) ++from;
+  return from;
+}
+
+DeviceLayout parse_device(const std::vector<char>& payload) {
+  DeviceLayout layout;
+  std::size_t pos = find_tag_from(payload, "CHNL", 0) + 4;
+  const auto ring = [&] {
+    const std::uint64_t n = read_u64_at(payload, pos);
+    layout.queues.push_back({pos, n});
+    pos += 8 + 8 * n;
+  };
+  const std::uint64_t channels = read_u64_at(payload, pos);
+  pos += 8;
+  for (std::uint64_t c = 0; c < channels; ++c) {
+    pos += 1 + 8;  // bus_busy, bus_free_at
+    ring();
+    pos += 1;  // rr_toggle
+  }
+  pos += 4;  // UNIT
+  const std::uint64_t units = read_u64_at(payload, pos);
+  pos += 8;
+  for (std::uint64_t u = 0; u < units; ++u) {
+    pos += 1 + 8;  // busy, busy_until
+    ring();
+    ring();
+    ring();
+  }
+  for (std::size_t& busy : layout.busy_at) {
+    busy = pos;
+    pos += 8 + 8 * read_u64_at(payload, pos);
+  }
+  pos += 4;  // REQS
+  layout.requests = read_u64_at(payload, pos);
+  layout.requests_at = pos + 8;
+  pos = layout.request(layout.requests) + 8 + 8;  // cursor, last arrival
+  pos += 4;  // OPSL
+  layout.ops = read_u64_at(payload, pos);
+  layout.ops_at = pos + 8;
+  layout.free_at = layout.op(layout.ops);
+  layout.free_len = read_u64_at(payload, layout.free_at);
+  pos = layout.free_at + 8 + 8 * layout.free_len + 8;  // next_enq_seq
+  pos += 4;  // GCJB
+  layout.jobs = read_u64_at(payload, pos);
+  layout.jobs_at = pos + 8;
+  pos = find_tag_from(payload, "PWRS", layout.job(layout.jobs)) + 4 + 2;
+  layout.barriers = read_u64_at(payload, pos);
+  layout.barriers_at = pos + 8;
+  return layout;
+}
+
+// Regression: the REQS, OPSL, GCJB and queue loaders took type and kind
+// bytes, counts, addresses and indices as given, and release loads never
+// audit. Each mutation below loaded, and the device then dispatched on an
+// invalid enum, indexed units_, the request table, the job table or the
+// op slab out of bounds, or handed one slot out twice. Every field is now
+// checked before use, and the error names its byte offset.
+TEST(DeviceSnapshot, RejectsResealedDeviceMutations) {
+  // GC churn at its midpoint: in-flight host and GC ops, queued ops, free
+  // op slots and active GC jobs.
+  const testing::GoldenRecipe recipe = testing::golden_gc_churn();
+  const sim::Geometry& geometry = recipe.config.ssd.geometry;
+  const auto device = device_at(recipe.requests, recipe.tenants,
+                                recipe.config, recipe.requests.size() / 2);
+  const std::vector<char> payload = payload_of(*device);
+  ASSERT_NO_THROW(snapshot::load_device(snapshot::save_device(*device)));
+  const DeviceLayout layout = parse_device(payload);
+  ASSERT_EQ(layout.requests, recipe.requests.size());
+
+  // --- busy-time accumulators, indexed by channel and by unit: drop the
+  // last entry of each list.
+  for (const std::size_t at : layout.busy_at) {
+    expect_rejected(
+        payload,
+        [&](auto& b) {
+          const std::uint64_t n = read_u64_at(b, at);
+          write_u64_at(b, at, n - 1);
+          const auto last = b.begin() + static_cast<std::ptrdiff_t>(at + 8 * n);
+          b.erase(last, last + 8);
+        },
+        "busy times list", at);
+  }
+
+  // --- REQS: request 0.
+  const std::size_t req = layout.request(0);
+  const std::uint32_t pages = read_u32_at(payload, req + 21);
+  expect_rejected(
+      payload, [&](auto& b) { b[req + 12] = 4; }, "not an OpType", req + 12);
+  expect_rejected(
+      payload, [&](auto& b) { write_u32_at(b, req + 21, 0); }, "zero pages",
+      req + 21);
+  for (const auto& [field, at] :
+       {std::pair{"remaining count", req + 33},
+        std::pair{"failed count", req + 37},
+        std::pair{"volatile page count", req + 41}}) {
+    expect_rejected(
+        payload, [&](auto& b) { write_u32_at(b, at, pages + 1); }, field, at);
+  }
+
+  // --- OPSL: the slab holds in-use host and GC ops and free slots.
+  const auto in_use = [&](std::uint64_t id) {
+    return payload[layout.op(id) + 89] != 0;
+  };
+  const auto kind = [&](std::uint64_t id) {
+    return static_cast<std::uint8_t>(payload[layout.op(id) + 12]);
+  };
+  std::uint64_t host_op = layout.ops, gc_op = layout.ops;
+  for (std::uint64_t id = 0; id < layout.ops; ++id) {
+    if (!in_use(id)) continue;
+    if (kind(id) <= 1 && host_op == layout.ops) host_op = id;
+    if (kind(id) >= 2 && kind(id) <= 4 && gc_op == layout.ops) gc_op = id;
+  }
+  ASSERT_LT(host_op, layout.ops) << "no in-use host op";
+  ASSERT_LT(gc_op, layout.ops) << "no in-use GC or erase op";
+  const std::size_t op = layout.op(host_op);
+  expect_rejected(
+      payload, [&](auto& b) { b[op + 12] = 6; }, "not an OpKind", op + 12);
+  const std::pair<const char*, std::uint32_t> components[] = {
+      {"address channel", geometry.channels},
+      {"address chip", geometry.chips_per_channel},
+      {"address plane", geometry.planes_per_chip},
+      {"address block", geometry.blocks_per_plane},
+      {"address page", geometry.pages_per_block}};
+  for (std::size_t k = 0; k < 5; ++k) {
+    const std::size_t at = op + 13 + 4 * k;
+    expect_rejected(
+        payload, [&](auto& b) { write_u32_at(b, at, components[k].second); },
+        components[k].first, at);
+  }
+  expect_rejected(
+      payload, [&](auto& b) { write_u64_at(b, op, layout.requests); },
+      "names request", op);
+  const std::size_t job_field = layout.op(gc_op) + 49;
+  expect_rejected(
+      payload,
+      [&](auto& b) {
+        write_u32_at(b, job_field, static_cast<std::uint32_t>(layout.jobs));
+      },
+      "names gc job", job_field);
+
+  // --- free list.
+  ASSERT_GE(layout.free_len, 2u) << "no two free op slots";
+  const std::size_t free0 = layout.free_at + 8;
+  const std::uint64_t free_id = read_u64_at(payload, free0);
+  expect_rejected(
+      payload, [&](auto& b) { write_u64_at(b, free0, layout.ops); },
+      "outside the", free0);
+  expect_rejected(
+      payload, [&](auto& b) { write_u64_at(b, free0, host_op); },
+      "in-use op", free0);
+  expect_rejected(
+      payload, [&](auto& b) { write_u64_at(b, free0 + 8, free_id); }, "twice",
+      free0 + 8);
+
+  // --- op queues: a non-front entry of some queue.
+  const DeviceLayout::Queue* queue = nullptr;
+  for (const auto& q : layout.queues) {
+    if (q.length >= 2) queue = &q;
+  }
+  ASSERT_NE(queue, nullptr) << "no op queue holds two entries";
+  const std::size_t second = queue->count_at + 8 + 8;
+  expect_rejected(
+      payload, [&](auto& b) { write_u64_at(b, second, layout.ops); },
+      "op queue names op", second);
+  expect_rejected(
+      payload, [&](auto& b) { write_u64_at(b, second, free_id); },
+      "free op slot", second);
+
+  // --- GCJB: job 0.
+  ASSERT_GT(layout.jobs, 0u);
+  const std::size_t job = layout.job(0);
+  expect_rejected(
+      payload,
+      [&](auto& b) { write_u64_at(b, job, geometry.total_planes()); },
+      "plane", job);
+  expect_rejected(
+      payload,
+      [&](auto& b) { write_u32_at(b, job + 8, geometry.blocks_per_plane); },
+      "victim block", job + 8);
+
+  // --- PWRS: a flush barrier lives between a flush's arrival and its last
+  // fenced program; scan pause points of a flushing workload for one.
+  ssd::SsdOptions powered;
+  powered.geometry = sim::Geometry::tiny();
+  powered.power.enabled = true;
+  powered.write_buffer.capacity_pages = 4;
+  std::vector<sim::IoRequest> flushing;
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    sim::IoRequest r;
+    r.id = i;
+    r.type = i % 8 == 7 ? sim::OpType::kFlush : sim::OpType::kWrite;
+    r.lpn = i % 24;
+    r.arrival = 50 * i;
+    flushing.push_back(r);
+  }
+  bool barrier_seen = false;
+  for (std::uint64_t pause = 8; pause < 64 && !barrier_seen; ++pause) {
+    ssd::Ssd flusher(powered);
+    flusher.submit(flushing);
+    flusher.run_until_arrival(pause);
+    const std::vector<char> bytes = payload_of(flusher);
+    const DeviceLayout flush_layout = parse_device(bytes);
+    if (flush_layout.barriers == 0) continue;
+    barrier_seen = true;
+    ASSERT_NO_THROW(snapshot::load_device(snapshot::save_device(flusher)));
+    const std::size_t at = flush_layout.barriers_at;
+    expect_rejected(
+        bytes, [&](auto& b) { write_u64_at(b, at, flush_layout.requests); },
+        "flush barrier 0 names request", at);
+  }
+  EXPECT_TRUE(barrier_seen) << "no pause point holds a live flush barrier";
+}
+
 TEST(DeviceSnapshot, L2pmStoresFourBytesPerEntry) {
   const auto requests = pipeline_workload();
   const auto cut = static_cast<std::uint64_t>(
@@ -630,6 +878,7 @@ TEST(DeviceSnapshot, BlockStateIndependentOfCapacity) {
     std::size_t blkm_bytes;
     std::size_t snapshot_bytes;
     core::RunResult result;
+    std::map<sim::TenantId, sim::TenantMetrics> samples;  ///< the device's
   };
   auto run = [&](const sim::Geometry& geometry) {
     core::RunConfig config;
@@ -638,9 +887,10 @@ TEST(DeviceSnapshot, BlockStateIndependentOfCapacity) {
     EXPECT_EQ(core::summarize(*device).counters.erases, 0u);
     snapshot::StateWriter blkm;
     device->ftl().blocks().save_state(blkm);
-    Outcome out{blkm.size(), snapshot::save_device(*device).size(), {}};
+    Outcome out{blkm.size(), snapshot::save_device(*device).size(), {}, {}};
     device->run_to_completion();
     out.result = core::summarize(*device);
+    out.samples = device->metrics().all_tenants();
     return out;
   };
   sim::Geometry wide = sim::Geometry::small();
@@ -663,11 +913,12 @@ TEST(DeviceSnapshot, BlockStateIndependentOfCapacity) {
     EXPECT_EQ(a.counters.conflicts, b.counters.conflicts);
     EXPECT_EQ(a.counters.erases, b.counters.erases);
     ASSERT_EQ(a.per_tenant.size(), b.per_tenant.size());
-    for (const auto& [tenant, m] : a.per_tenant) {
+    ASSERT_EQ(small.samples.size(), other->samples.size());
+    for (const auto& [tenant, m] : small.samples) {
       EXPECT_EQ(m.read_latency_us.samples(),
-                b.per_tenant.at(tenant).read_latency_us.samples());
+                other->samples.at(tenant).read_latency_us.samples());
       EXPECT_EQ(m.write_latency_us.samples(),
-                b.per_tenant.at(tenant).write_latency_us.samples());
+                other->samples.at(tenant).write_latency_us.samples());
     }
   }
 }

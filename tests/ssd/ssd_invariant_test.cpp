@@ -471,17 +471,29 @@ TEST(SsdInvariants, DetectsOobSeqCorruption) {
 
 TEST(SsdInvariants, DetectsVolatilePageOverCount) {
   auto device = busy_powered_device();
-  expect_corruption_detected(
-      *device,
-      [](std::vector<char>& bytes) {
-        // REQS: tag, u64 count, then 45-byte records with volatile_pages
-        // (u32) at +41. Claim request 0 absorbed more buffered pages
-        // than it has pages.
-        const std::size_t reqs = find_tag(bytes, "REQS");
-        ASSERT_GT(read_u64(bytes, reqs + 4), 0u);
-        write_u32(bytes, reqs + 12 + 41, 0xDEAD);
-      },
-      "request volatile_pages", powered_options());
+  // REQS: tag, u64 count, then 45-byte records with volatile_pages (u32)
+  // at +41. Claim request 0 absorbed more buffered pages than it has
+  // pages. The REQS loader refuses the count with a SnapshotError naming
+  // its offset, before any audit.
+  snapshot::StateWriter w;
+  device->save_state(w);
+  std::vector<char> bytes = w.take();
+  const std::size_t reqs = find_tag(bytes, "REQS");
+  ASSERT_GT(read_u64(bytes, reqs + 4), 0u);
+  const std::size_t volatile_pos = reqs + 12 + 41;
+  write_u32(bytes, volatile_pos, 0xDEAD);
+
+  Ssd reloaded(powered_options());
+  snapshot::StateReader r(bytes);
+  try {
+    reloaded.load_state(r);
+    FAIL() << "volatile-page over-count was not detected";
+  } catch (const snapshot::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("volatile page count"),
+              std::string::npos)
+        << e.what();
+    EXPECT_EQ(e.offset(), volatile_pos);
+  }
 }
 
 TEST(SsdInvariants, DetectsPoweredOffFlagFlip) {

@@ -98,11 +98,9 @@ TEST(SsdTelemetry, RollupReconcilesWithRunResult) {
     EXPECT_LE(row.bus_util, 1.0);
   }
   // Window sums must equal the device's own per-tenant sample counts.
-  for (const auto& [tenant, metrics] : result.per_tenant) {
-    EXPECT_EQ(reads[tenant], metrics.read_latency_us.count())
-        << "tenant " << tenant;
-    EXPECT_EQ(writes[tenant], metrics.write_latency_us.count())
-        << "tenant " << tenant;
+  for (const auto& [tenant, summary] : result.per_tenant) {
+    EXPECT_EQ(reads[tenant], summary.reads) << "tenant " << tenant;
+    EXPECT_EQ(writes[tenant], summary.writes) << "tenant " << tenant;
   }
   // And device-wide: one kRequest span per host read/write.
   std::uint64_t total = 0;
