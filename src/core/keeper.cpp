@@ -6,6 +6,14 @@
 
 namespace ssdk::core {
 
+namespace {
+
+/// Completions each side of a watchdog comparison must hold before the
+/// watchdog judges a switch.
+constexpr std::uint64_t kWatchdogMinSamples = 32;
+
+}  // namespace
+
 SsdKeeper::SsdKeeper(const ChannelAllocator& allocator, KeeperConfig config)
     : allocator_(allocator), config_(config), collector_(config.features),
       window_end_(config.collect_window_ns) {}
@@ -39,7 +47,7 @@ std::uint32_t SsdKeeper::measure_best(
     std::span<const TenantProfile> profiles) {
   what_if_.clear();
   const auto scores =
-      run_trials(config_.what_if_pool, candidates.size(), [&](std::size_t i) {
+      run_trials(nullptr, candidates.size(), [&](std::size_t i) {
         return score_fork_trial(device, [&](ssd::Ssd& forked) {
           configure_ssd(forked, allocator_.space().at(candidates[i]),
                         profiles, config_.hybrid_page_allocation);
@@ -83,18 +91,21 @@ void SsdKeeper::apply(ssd::Ssd& device, SimTime at) {
                   config_.hybrid_page_allocation);
     if (config_.watchdog_window_ns > 0) start_watch(at, incumbent, strategy);
   }
-  if (config_.trace_decisions) {
-    if (auto* tracer = device.tracer()) {
-      telemetry::KeeperDecision decision;
-      decision.time = at;
-      decision.strategy = strategy.name();
-      decision.features = features_->describe();
-      decision.changed = changed;
-      tracer->record_decision(std::move(decision));
-    }
+  decide(device, at, strategy, features_->describe(), changed);
+  collector_.reset();
+}
+
+void SsdKeeper::decide(ssd::Ssd& device, SimTime at, const Strategy& strategy,
+                       std::string features, bool changed) {
+  if (auto* tracer = device.tracer()) {
+    telemetry::KeeperDecision decision;
+    decision.time = at;
+    decision.strategy = strategy.name();
+    decision.features = std::move(features);
+    decision.changed = changed;
+    tracer->record_decision(std::move(decision));
   }
   decisions_.emplace_back(at, strategy);
-  collector_.reset();
 }
 
 void SsdKeeper::prune_recent(SimTime now) {
@@ -132,8 +143,8 @@ void SsdKeeper::on_completion(ssd::Ssd& device,
   }
   // The watch window just closed; judge the switch on what it collected.
   watching_ = false;
-  if (watch_post_.count() < config_.watchdog_min_samples ||
-      watch_baseline_count_ < config_.watchdog_min_samples ||
+  if (watch_post_.count() < kWatchdogMinSamples ||
+      watch_baseline_count_ < kWatchdogMinSamples ||
       watch_baseline_p99_ <= 0.0) {
     return;  // not enough evidence either way — keep the new strategy
   }
@@ -146,20 +157,11 @@ void SsdKeeper::on_completion(ssd::Ssd& device,
                 config_.hybrid_page_allocation);
   vetoed_ = watch_next_;
   ++rollbacks_;
-  if (config_.trace_decisions) {
-    if (auto* tracer = device.tracer()) {
-      telemetry::KeeperDecision decision;
-      decision.time = c.finish;
-      decision.strategy = watch_prev_.name();
-      decision.features = "watchdog rollback of " + watch_next_.name() +
-                          ": p99 " + std::to_string(post_p99) +
-                          "us vs baseline " +
-                          std::to_string(watch_baseline_p99_) + "us";
-      decision.changed = true;
-      tracer->record_decision(std::move(decision));
-    }
-  }
-  decisions_.emplace_back(c.finish, watch_prev_);
+  decide(device, c.finish, watch_prev_,
+         "watchdog rollback of " + watch_next_.name() + ": p99 " +
+             std::to_string(post_p99) + "us vs baseline " +
+             std::to_string(watch_baseline_p99_) + "us",
+         true);
 }
 
 std::vector<TenantProfile> SsdKeeper::recovery_profiles() const {
@@ -187,17 +189,8 @@ void SsdKeeper::on_power_up(ssd::Ssd& device) {
   recent_lat_.clear();
   vetoed_.reset();
   ++power_recoveries_;
-  if (config_.trace_decisions) {
-    if (auto* tracer = device.tracer()) {
-      telemetry::KeeperDecision decision;
-      decision.time = device.now();
-      decision.strategy = shared.name();
-      decision.features = "power-loss recovery: re-entering collection";
-      decision.changed = true;
-      tracer->record_decision(std::move(decision));
-    }
-  }
-  decisions_.emplace_back(device.now(), shared);
+  decide(device, device.now(), shared,
+         "power-loss recovery: re-entering collection", true);
 }
 
 void SsdKeeper::on_arrival(ssd::Ssd& device,

@@ -31,6 +31,7 @@
 #include <deque>
 #include <optional>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -39,7 +40,6 @@
 #include "core/runner.hpp"
 #include "ssd/ssd.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 #include "util/time_types.hpp"
 
 namespace ssdk::core {
@@ -53,11 +53,6 @@ struct KeeperConfig {
   /// in rolling windows of this length and re-partitions whenever the
   /// prediction changes.
   Duration repredict_interval_ns = 0;
-  /// Mirror every (window, features, predicted strategy, switch) decision
-  /// into the device's telemetry tracer (when one is attached), so
-  /// strategy switches are visible on the trace timeline next to the
-  /// latency they caused.
-  bool trace_decisions = true;
   /// What-if mode: at each decision point, fork() the device per top-k
   /// predicted strategy, measure each candidate on the remaining submitted
   /// work, and apply the measured best instead of trusting the argmax.
@@ -66,22 +61,15 @@ struct KeeperConfig {
   /// the decision arrival (its page ops are not yet created when the
   /// arrival hook runs) — a deliberate heuristic, not an oracle.
   std::uint32_t what_if_top_k = 0;
-  /// Optional pool for the what-if fork trials: each candidate's fork
-  /// replays the remaining work on its own worker (nullptr = serial).
-  /// The trials fan out through core::run_trials and first_argmin picks
-  /// the winner in candidate order (core/trial.hpp), so the chosen strategy
-  /// is identical at any thread count. Non-owning; must outlive the keeper.
-  ThreadPool* what_if_pool = nullptr;
   /// p99 regression watchdog. 0 disables. Otherwise, after every strategy
   /// *change*, read/write completions over the next `watchdog_window_ns`
   /// form a post-switch latency sample; if its p99 exceeds
   /// `rollback_p99_ratio` times the p99 of the same-length window before
-  /// the switch (both sides holding at least `watchdog_min_samples`
-  /// completions), the keeper reverts to the previous strategy and vetoes
-  /// the regressing one at the next re-prediction.
+  /// the switch (both sides holding at least 32 completions), the keeper
+  /// reverts to the previous strategy and vetoes the regressing one at the
+  /// next re-prediction.
   Duration watchdog_window_ns = 0;
   double rollback_p99_ratio = 1.25;
-  std::uint32_t watchdog_min_samples = 32;
   FeatureConfig features;
 };
 
@@ -129,6 +117,11 @@ class SsdKeeper {
   void on_completion(ssd::Ssd& device, const sim::Completion& completion);
   void on_power_up(ssd::Ssd& device);
   void apply(ssd::Ssd& device, SimTime at);
+  /// Log a decision, and mirror it into the device's tracer when one is
+  /// attached, so strategy switches show on the trace timeline next to
+  /// the latency they caused.
+  void decide(ssd::Ssd& device, SimTime at, const Strategy& strategy,
+              std::string features, bool changed);
   /// Open a watchdog window over the just-applied switch.
   void start_watch(SimTime at, const Strategy& incumbent,
                    const Strategy& candidate);

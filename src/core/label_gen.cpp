@@ -187,18 +187,15 @@ std::vector<sim::IoRequest> synthesize_mix(const DatasetGenConfig& config,
   for (std::uint32_t t = 0; t < config.tenants; ++t) {
     const bool read_dominated = rng.bernoulli(0.5);
     trace::SyntheticSpec spec;
-    spec.write_fraction =
-        read_dominated
-            ? rng.uniform_real(config.read_band_lo, config.read_band_hi)
-            : rng.uniform_real(config.write_band_lo, config.write_band_hi);
+    spec.write_fraction = read_dominated ? rng.uniform_real(0.05, 0.15)
+                                         : rng.uniform_real(0.85, 0.95);
     spec.intensity_rps = std::max(1.0, total_rate * props[t]);
     spec.request_count = static_cast<std::uint64_t>(
         spec.intensity_rps * config.workload_duration_s * 1.05) + 8;
-    spec.mean_request_pages =
-        rng.uniform_real(config.mean_pages_lo, config.mean_pages_hi);
+    spec.mean_request_pages = rng.uniform_real(1.5, 4.0);
     spec.address_space_pages = config.address_space_pages;
-    spec.zipf_theta = rng.uniform_real(config.zipf_lo, config.zipf_hi);
-    spec.sequential_fraction = rng.uniform_real(config.seq_lo, config.seq_hi);
+    spec.zipf_theta = rng.uniform_real(0.2, 0.4);
+    spec.sequential_fraction = rng.uniform_real(0.05, 0.5);
     spec.seed = rng.next_u64();
     workloads[t] = trace::generate_synthetic(spec);
   }
@@ -214,8 +211,7 @@ std::vector<sim::IoRequest> synthesize_mix(const DatasetGenConfig& config,
 GeneratedDataset generate_dataset(const StrategySpace& space,
                                   const DatasetGenConfig& config,
                                   ThreadPool& pool) {
-  GeneratedDataset out;
-  out.samples.resize(config.workloads);
+  std::vector<LabeledSample> samples(config.workloads);
 
   // One task per workload, and each workload's sweep of 8 or 12 distinct
   // device configurations fans out on the same pool (parallel_for is
@@ -224,12 +220,17 @@ GeneratedDataset generate_dataset(const StrategySpace& space,
   // nested sweep fills the tail when fewer workloads than workers remain.
   parallel_for(pool, config.workloads, [&](std::size_t i) {
     const auto requests = synthesize_mix(config, i);
-    out.samples[i] = label_workload(requests, space, config.label, &pool);
+    samples[i] = label_workload(requests, space, config.label, &pool);
   });
+  return pack_dataset(std::move(samples));
+}
 
-  nn::Matrix features(config.workloads, kFeatureDim);
-  std::vector<std::uint32_t> labels(config.workloads);
-  for (std::size_t i = 0; i < config.workloads; ++i) {
+GeneratedDataset pack_dataset(std::vector<LabeledSample> samples) {
+  GeneratedDataset out;
+  out.samples = std::move(samples);
+  nn::Matrix features(out.samples.size(), kFeatureDim);
+  std::vector<std::uint32_t> labels(out.samples.size());
+  for (std::size_t i = 0; i < out.samples.size(); ++i) {
     const auto row = out.samples[i].features.to_vector();
     assert(row.size() == kFeatureDim);
     for (std::size_t c = 0; c < kFeatureDim; ++c) features(i, c) = row[c];

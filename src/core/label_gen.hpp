@@ -95,18 +95,7 @@ struct DatasetGenConfig {
   /// collector's intensity scale.
   double min_rate_rps = 1'200.0;
   double max_rate_rps = 36'000.0;
-  /// Per-tenant write fraction bands: read-dominated tenants draw from
-  /// [read_lo, read_hi], write-dominated from [write_lo, write_hi].
-  double read_band_lo = 0.05, read_band_hi = 0.15;
-  double write_band_lo = 0.85, write_band_hi = 0.95;
   std::uint64_t address_space_pages = 32 * 1024;
-  /// Per-tenant request-shape ranges. Heterogeneous sizes and
-  /// sequentiality are what make channel partitioning pay off (large
-  /// sequential readers suffer most from sharing with writers), so the
-  /// training distribution must span them like the evaluation traces do.
-  double mean_pages_lo = 1.5, mean_pages_hi = 4.0;
-  double seq_lo = 0.05, seq_hi = 0.5;
-  double zipf_lo = 0.2, zipf_hi = 0.4;
   std::uint64_t seed = 7;
   LabelGenConfig label;
 };
@@ -117,9 +106,17 @@ struct GeneratedDataset {
 };
 
 /// Synthesize one mixed workload for dataset row `index` (deterministic in
-/// (config.seed, index)).
+/// (config.seed, index)). Each tenant draws its write fraction from a read-
+/// or write-dominated band and its request size, sequentiality and Zipf
+/// skew from fixed ranges (label_gen.cpp): heterogeneous sizes and
+/// sequentiality are what make channel partitioning pay off, so the
+/// training distribution spans them like the evaluation traces do.
 std::vector<sim::IoRequest> synthesize_mix(const DatasetGenConfig& config,
                                            std::uint64_t index);
+
+/// Pack labeled samples, in order, into the 9-D feature rows and label
+/// vector of a GeneratedDataset.
+GeneratedDataset pack_dataset(std::vector<LabeledSample> samples);
 
 /// Generate the full dataset; workloads are distributed over the pool and
 /// each workload's per-strategy sweep fans out on the same pool (nested

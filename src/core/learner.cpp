@@ -7,6 +7,15 @@
 
 namespace ssdk::core {
 
+namespace {
+
+// The paper's network and split (Section IV.C, Table III).
+constexpr std::size_t kHiddenNeurons = 64;
+constexpr std::size_t kBatchSize = 64;
+constexpr double kTrainFraction = 0.7;
+
+}  // namespace
+
 LearnedModel train_strategy_learner(const nn::Dataset& dataset,
                                     const StrategySpace& space,
                                     const LearnerConfig& config) {
@@ -25,7 +34,7 @@ LearnedModel train_strategy_learner(const nn::Dataset& dataset,
   nn::Dataset shuffled = dataset;
   Rng rng(config.seed);
   shuffled.shuffle(rng);
-  auto [train_raw, test_raw] = shuffled.split(config.train_fraction);
+  auto [train_raw, test_raw] = shuffled.split(kTrainFraction);
 
   nn::StandardScaler scaler;
   scaler.fit(train_raw.features());
@@ -37,13 +46,13 @@ LearnedModel train_strategy_learner(const nn::Dataset& dataset,
                                        std::vector<std::uint32_t>(
                                            test_raw.labels()));
 
-  nn::Mlp model({kFeatureDim, config.hidden_neurons, space.size()},
+  nn::Mlp model({kFeatureDim, kHiddenNeurons, space.size()},
                 nn::activation_from_string(config.activation), config.seed);
   auto optimizer = nn::make_optimizer(config.optimizer);
 
   nn::TrainOptions options;
   options.max_iterations = config.max_iterations;
-  options.batch_size = config.batch_size;
+  options.batch_size = kBatchSize;
   options.shuffle_seed = config.seed;
   nn::TrainHistory history =
       nn::train_classifier(model, *optimizer, train, test, options);

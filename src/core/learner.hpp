@@ -13,14 +13,11 @@
 namespace ssdk::core {
 
 struct LearnerConfig {
-  std::size_t hidden_neurons = 64;  ///< paper: one hidden layer of 64
-  /// "sgd", "sgd-momentum", "adam" (+ "adagrad", "rmsprop").
+  /// "sgd", "sgd-momentum" or "adam".
   std::string optimizer = "adam";
   /// Hidden activation; the paper compares "relu" and "logistic" for Adam.
   std::string activation = "logistic";
   std::size_t max_iterations = 200;  ///< paper Figure 4 x-axis
-  std::size_t batch_size = 64;
-  double train_fraction = 0.7;  ///< paper: 7:3 train/test split
   std::uint64_t seed = 42;
 };
 
@@ -29,8 +26,9 @@ struct LearnedModel {
   nn::TrainHistory history;
 };
 
-/// Shuffle + split + scale + train. The dataset's labels must index into
-/// `space` (labels >= space.size() throw).
+/// Shuffle + split 7:3 + scale + train one hidden layer of 64 neurons on
+/// mini-batches of 64 (the paper's Table III setup). The dataset's labels
+/// must index into `space` (labels >= space.size() throw).
 LearnedModel train_strategy_learner(const nn::Dataset& dataset,
                                     const StrategySpace& space,
                                     const LearnerConfig& config);

@@ -22,6 +22,14 @@ constexpr int kSlotFree = -1;
 constexpr int kSlotDead = -2;
 
 constexpr std::uint32_t kBulkRequestPages = 16;
+/// Candidate destinations trialed per migration (coldest first).
+constexpr std::size_t kCandidates = 3;
+/// Requests replayed per what-if trial (victim + destination natives).
+constexpr std::size_t kTrialRequests = 1500;
+/// Cap on the copy traffic injected on the destination when a migration
+/// commits (pages). The modeled cost reports the full footprint; the
+/// injected bulk load is capped so one migration cannot dominate an epoch.
+constexpr std::uint64_t kBulkPagesCap = 1024;
 
 /// Mutable per-device state owned by run_fleet. Construction and epoch
 /// workers touch only their own entry. Between epochs, consolidation's
@@ -141,29 +149,36 @@ void sort_by_arrival(std::vector<sim::IoRequest>& requests) {
                    });
 }
 
-/// The next epoch's traffic of every live slot of a device, merged —
-/// the what-if trials' preview stream.
-std::vector<sim::IoRequest> next_epoch_preview(
-    const DeviceState& st, std::span<const TenantSpec> specs,
-    const FleetConfig& config, std::uint32_t next_epoch) {
-  std::vector<sim::IoRequest> preview;
+/// One epoch's traffic of every live slot of a device, merged — the
+/// epoch loop's input and the what-if trials' preview stream. Each
+/// request's tenant is its slot.
+std::vector<sim::IoRequest> epoch_traffic(const DeviceState& st,
+                                          std::span<const TenantSpec> specs,
+                                          const FleetConfig& config,
+                                          std::uint32_t epoch) {
+  std::vector<sim::IoRequest> traffic;
   for (std::uint32_t s = 0; s < config.slots_per_device; ++s) {
     if (st.slot_tenant[s] < 0) continue;
     const auto& spec = specs[static_cast<std::size_t>(st.slot_tenant[s])];
     const auto records =
-        epoch_records(spec, config.seed, next_epoch, config.epoch_ns);
+        epoch_records(spec, config.seed, epoch, config.epoch_ns);
     auto reqs = records_to_requests(records, s);
-    preview.insert(preview.end(), reqs.begin(), reqs.end());
+    traffic.insert(traffic.end(), reqs.begin(), reqs.end());
   }
-  sort_by_arrival(preview);
-  return preview;
+  sort_by_arrival(traffic);
+  return traffic;
 }
 
-void truncate_trial(std::vector<sim::IoRequest>& trial,
-                    std::uint64_t limit) {
-  if (limit > 0 && trial.size() > limit) {
-    trial.resize(static_cast<std::size_t>(limit));
+/// The device's lowest never-used slot, or kMaxSlots when it has none.
+std::uint32_t first_free_slot(const DeviceState& st, std::uint32_t slots) {
+  for (std::uint32_t s = 0; s < slots; ++s) {
+    if (st.slot_tenant[s] == kSlotFree) return s;
   }
+  return kMaxSlots;
+}
+
+void truncate_trial(std::vector<sim::IoRequest>& trial) {
+  if (trial.size() > kTrialRequests) trial.resize(kTrialRequests);
   for (std::size_t i = 0; i < trial.size(); ++i) trial[i].id = i;
 }
 
@@ -179,22 +194,18 @@ void run_epoch_on_device(DeviceState& st,
   }
   st.tracer->clear();
 
+  const auto traffic = epoch_traffic(st, specs, config, epoch);
+  for (const auto& r : traffic) {
+    if (r.type == sim::OpType::kWrite) {
+      st.epoch_write_pages[r.tenant] += r.page_count;
+      st.footprint_pages[r.tenant] += r.page_count;
+    }
+  }
+  // Pending migration copies go first: ties at one arrival keep them
+  // ahead of the slots' traffic, which keeps its own order.
   std::vector<sim::IoRequest> requests = std::move(st.pending_bulk);
   st.pending_bulk.clear();
-  for (std::uint32_t s = 0; s < config.slots_per_device; ++s) {
-    if (st.slot_tenant[s] < 0) continue;
-    const auto& spec = specs[static_cast<std::size_t>(st.slot_tenant[s])];
-    const auto records =
-        epoch_records(spec, config.seed, epoch, config.epoch_ns);
-    for (const auto& r : records) {
-      if (r.type == sim::OpType::kWrite) {
-        st.epoch_write_pages[s] += r.pages;
-        st.footprint_pages[s] += r.pages;
-      }
-    }
-    auto reqs = records_to_requests(records, s);
-    requests.insert(requests.end(), reqs.begin(), reqs.end());
-  }
+  requests.insert(requests.end(), traffic.begin(), traffic.end());
   sort_by_arrival(requests);
   for (auto& r : requests) r.id = st.next_request_id++;
 
@@ -261,33 +272,16 @@ void consolidate(ThreadPool& pool, std::vector<DeviceState>& states,
     std::vector<std::uint32_t> candidates;
     for (std::uint32_t c = 0; c < states.size(); ++c) {
       if (c == d || hot[c] || states[c].full) continue;
-      bool has_free = false;
-      for (std::uint32_t s = 0; s < config.slots_per_device; ++s) {
-        if (states[c].slot_tenant[s] == kSlotFree) has_free = true;
+      if (first_free_slot(states[c], config.slots_per_device) < kMaxSlots) {
+        candidates.push_back(c);
       }
-      if (has_free) candidates.push_back(c);
     }
     std::stable_sort(candidates.begin(), candidates.end(),
                      [&](std::uint32_t a, std::uint32_t b) {
                        return summaries[a].heat() < summaries[b].heat();
                      });
-    if (candidates.size() > config.migration.candidates) {
-      candidates.resize(config.migration.candidates);
-    }
+    if (candidates.size() > kCandidates) candidates.resize(kCandidates);
     if (candidates.empty()) continue;
-
-    std::vector<std::uint32_t> free_slots;
-    free_slots.reserve(candidates.size());
-    for (const std::uint32_t c : candidates) {
-      std::uint32_t free_slot = kMaxSlots;
-      for (std::uint32_t s = 0; s < config.slots_per_device; ++s) {
-        if (states[c].slot_tenant[s] == kSlotFree) {
-          free_slot = s;
-          break;
-        }
-      }
-      free_slots.push_back(free_slot);
-    }
 
     const auto victim_records =
         epoch_records(vspec, config.seed, next_epoch, config.epoch_ns);
@@ -298,14 +292,14 @@ void consolidate(ThreadPool& pool, std::vector<DeviceState>& states,
     const auto scores =
         core::run_trials(&pool, candidates.size() + 1, [&](std::size_t i) {
           const DeviceState& st = i == 0 ? src : states[candidates[i - 1]];
-          auto trial = next_epoch_preview(st, specs, config, next_epoch);
+          auto trial = epoch_traffic(st, specs, config, next_epoch);
           if (i > 0) {
-            auto victim_reqs =
-                records_to_requests(victim_records, free_slots[i - 1]);
+            auto victim_reqs = records_to_requests(
+                victim_records, first_free_slot(st, config.slots_per_device));
             trial.insert(trial.end(), victim_reqs.begin(), victim_reqs.end());
             sort_by_arrival(trial);
           }
-          truncate_trial(trial, config.migration.trial_requests);
+          truncate_trial(trial);
           return score_placement(*st.device, trial);
         });
     // Staying is trial 0 and ties keep the lower index, so a move must
@@ -313,7 +307,9 @@ void consolidate(ThreadPool& pool, std::vector<DeviceState>& states,
     const std::size_t best = core::first_argmin(scores);
     if (best == 0) continue;
     const std::uint32_t best_device = candidates[best - 1];
-    const std::uint32_t best_slot = free_slots[best - 1];
+    // The slot its trial previewed: no slot has changed since.
+    const std::uint32_t best_slot =
+        first_free_slot(states[best_device], config.slots_per_device);
 
     // Commit: retire the source slot, occupy the destination slot, and
     // queue the (capped) copy traffic for the next epoch start.
@@ -331,8 +327,7 @@ void consolidate(ThreadPool& pool, std::vector<DeviceState>& states,
     record.move_score_us = scores[best];
     record.footprint_pages = src.footprint_pages[vslot];
     record.injected_pages =
-        std::min<std::uint64_t>(record.footprint_pages,
-                                config.migration.bulk_pages_cap);
+        std::min<std::uint64_t>(record.footprint_pages, kBulkPagesCap);
     const auto& opts = states[best_device].device->options();
     record.modeled_cost_ns =
         static_cast<Duration>(record.footprint_pages) *
@@ -546,13 +541,7 @@ FleetResult run_fleet(const FleetConfig& config,
   for (std::size_t i = 0; i < tenants.size(); ++i) {
     const std::uint32_t d = placement[i];
     DeviceState& st = states[d];
-    std::uint32_t slot = kMaxSlots;
-    for (std::uint32_t s = 0; s < config.slots_per_device; ++s) {
-      if (st.slot_tenant[s] == kSlotFree) {
-        slot = s;
-        break;
-      }
-    }
+    const std::uint32_t slot = first_free_slot(st, config.slots_per_device);
     if (slot >= kMaxSlots) {
       throw std::logic_error("fleet: placement oversubscribed a device");
     }

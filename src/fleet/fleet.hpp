@@ -108,7 +108,7 @@ struct MigrationRecord {
   /// footprint a real migration would move.
   std::uint64_t footprint_pages = 0;
   /// Copy traffic actually replayed on the destination (footprint capped
-  /// by MigrationConfig::bulk_pages_cap).
+  /// at 1024 pages).
   std::uint64_t injected_pages = 0;
   /// Modeled cost of the full copy: footprint x (transfer + program).
   Duration modeled_cost_ns = 0;

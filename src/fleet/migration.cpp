@@ -6,6 +6,13 @@
 
 namespace ssdk::fleet {
 
+namespace {
+
+/// Mean bus utilization at which a device is hot whatever its heat.
+constexpr double kHotBusUtil = 0.9;
+
+}  // namespace
+
 std::vector<bool> detect_hot_devices(
     std::span<const telemetry::RollupSummary> summaries,
     const MigrationConfig& config) {
@@ -26,8 +33,7 @@ std::vector<bool> detect_hot_devices(
                           summaries[d].heat() >=
                               config.hot_heat_ratio * median &&
                           summaries[d].heat() > 0.0;
-    const bool bus_hot =
-        summaries[d].mean_bus_util >= config.hot_bus_util;
+    const bool bus_hot = summaries[d].mean_bus_util >= kHotBusUtil;
     hot[d] = heat_hot || bus_hot;
   }
   return hot;

@@ -28,26 +28,16 @@ namespace ssdk::fleet {
 struct MigrationConfig {
   bool enabled = true;
   /// A device is hot when its heat() is at least this multiple of the
-  /// fleet's median heat (and non-zero) ...
+  /// fleet's median heat (and non-zero), or when its rolling-window mean
+  /// bus utilization reaches 0.9 (saturated devices are hot even when
+  /// every device is equally slow).
   double hot_heat_ratio = 1.3;
-  /// ... or when its rolling-window mean bus utilization crosses this
-  /// (saturated devices are hot even when every device is equally slow).
-  double hot_bus_util = 0.9;
   /// Migrations committed per epoch boundary, fleet-wide.
   std::uint32_t max_per_epoch = 2;
-  /// Candidate destinations trialed per migration (coldest-first).
-  std::uint32_t candidates = 3;
-  /// Requests replayed per what-if trial (victim + destination natives).
-  std::uint64_t trial_requests = 1500;
-  /// Cap on the copy traffic injected on the destination when a
-  /// migration commits (pages). The modeled cost reports the full
-  /// footprint; the injected bulk load is capped so one migration cannot
-  /// dominate an epoch.
-  std::uint64_t bulk_pages_cap = 1024;
 };
 
 /// Flag hot devices: heat >= hot_heat_ratio x (fleet median heat) and
-/// non-zero, or mean bus utilization >= hot_bus_util. Index-aligned with
+/// non-zero, or mean bus utilization >= 0.9. Index-aligned with
 /// `summaries` (one entry per device, ordered by device id).
 std::vector<bool> detect_hot_devices(
     std::span<const telemetry::RollupSummary> summaries,

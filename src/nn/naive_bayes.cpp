@@ -1,6 +1,5 @@
 #include "nn/naive_bayes.hpp"
 
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -61,7 +60,9 @@ void NaiveBayesClassifier::fit(const Dataset& train) {
 std::uint32_t NaiveBayesClassifier::predict_one(const double* row,
                                                 std::size_t dim) const {
   if (!fitted()) throw std::logic_error("naive bayes: predict before fit");
-  assert(dim == dim_);
+  if (dim != dim_) {
+    throw std::invalid_argument("naive bayes: feature dim mismatch");
+  }
   double best_score = -std::numeric_limits<double>::infinity();
   std::uint32_t best = 0;
   for (std::uint32_t c = 0; c < num_classes_; ++c) {

@@ -49,24 +49,6 @@ void SgdMomentum::update(std::size_t slot, Matrix& param,
   param += v;
 }
 
-void AdaGrad::update(std::size_t slot, Matrix& param, const Matrix& grad) {
-  Matrix& g2 = state(0, slot, param);
-  for (std::size_t i = 0; i < param.size(); ++i) {
-    const double g = grad.raw()[i];
-    g2.raw()[i] += g * g;
-    param.raw()[i] -= lr_ * g / (std::sqrt(g2.raw()[i]) + eps_);
-  }
-}
-
-void RmsProp::update(std::size_t slot, Matrix& param, const Matrix& grad) {
-  Matrix& g2 = state(0, slot, param);
-  for (std::size_t i = 0; i < param.size(); ++i) {
-    const double g = grad.raw()[i];
-    g2.raw()[i] = decay_ * g2.raw()[i] + (1.0 - decay_) * g * g;
-    param.raw()[i] -= lr_ * g / (std::sqrt(g2.raw()[i]) + eps_);
-  }
-}
-
 void Adam::update(std::size_t slot, Matrix& param, const Matrix& grad) {
   Matrix& m = state(0, slot, param);
   Matrix& v = state(1, slot, param);
@@ -89,8 +71,6 @@ std::unique_ptr<Optimizer> make_optimizer(const std::string& name) {
   // Adam lr 0.02.
   if (name == "sgd") return std::make_unique<Sgd>(0.2);
   if (name == "sgd-momentum") return std::make_unique<SgdMomentum>(0.2, 0.9);
-  if (name == "adagrad") return std::make_unique<AdaGrad>(0.02);
-  if (name == "rmsprop") return std::make_unique<RmsProp>(0.02);
   if (name == "adam") return std::make_unique<Adam>(0.02);
   throw std::invalid_argument("unknown optimizer: " + name);
 }

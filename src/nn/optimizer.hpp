@@ -1,9 +1,6 @@
-// First-order optimizers: SGD, SGD with momentum, AdaGrad, RMSProp, Adam.
-//
-// The paper evaluates SGD (lr 0.2), SGD-momentum (lr 0.2, momentum 0.9) and
-// Adam (lr 0.02) with ReLU / logistic activations; AdaGrad and RMSProp are
-// included because the paper describes Adam as their combination and the
-// ablation bench compares all five.
+// First-order optimizers: SGD, SGD with momentum, Adam — the three the
+// paper evaluates (Table III): SGD (lr 0.2), SGD-momentum (lr 0.2, momentum
+// 0.9) and Adam (lr 0.02) with ReLU / logistic activations.
 #pragma once
 
 #include <memory>
@@ -71,34 +68,6 @@ class SgdMomentum final : public Optimizer {
   double momentum_;
 };
 
-class AdaGrad final : public Optimizer {
- public:
-  explicit AdaGrad(double lr, double eps = 1e-8) : lr_(lr), eps_(eps) {}
-  std::string name() const override { return "adagrad"; }
-
- protected:
-  void update(std::size_t slot, Matrix& param, const Matrix& grad) override;
-
- private:
-  double lr_;
-  double eps_;
-};
-
-class RmsProp final : public Optimizer {
- public:
-  RmsProp(double lr, double decay = 0.9, double eps = 1e-8)
-      : lr_(lr), decay_(decay), eps_(eps) {}
-  std::string name() const override { return "rmsprop"; }
-
- protected:
-  void update(std::size_t slot, Matrix& param, const Matrix& grad) override;
-
- private:
-  double lr_;
-  double decay_;
-  double eps_;
-};
-
 class Adam final : public Optimizer {
  public:
   Adam(double lr, double beta1 = 0.9, double beta2 = 0.999,
@@ -117,8 +86,9 @@ class Adam final : public Optimizer {
   std::vector<std::uint64_t> t_;  // per-slot step counts (bias correction)
 };
 
-/// Factory from a name ("sgd", "sgd-momentum", "adagrad", "rmsprop",
-/// "adam") with the paper's hyperparameters as defaults.
+/// Factory from a name ("sgd", "sgd-momentum", "adam") with the paper's
+/// hyperparameters as defaults; any other name throws
+/// std::invalid_argument.
 std::unique_ptr<Optimizer> make_optimizer(const std::string& name);
 
 }  // namespace ssdk::nn

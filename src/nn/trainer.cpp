@@ -22,7 +22,7 @@ TrainHistory train_classifier(Mlp& model, Optimizer& opt,
   // TrainHistory reporting; never feeds the simulation schedule.
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t epoch = 0; epoch < options.max_iterations; ++epoch) {
-    if (options.shuffle_each_epoch) shuffled.shuffle(rng);
+    shuffled.shuffle(rng);
 
     double epoch_loss = 0.0;
     std::size_t batches = 0;

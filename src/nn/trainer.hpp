@@ -18,7 +18,7 @@ namespace ssdk::nn {
 struct TrainOptions {
   std::size_t max_iterations = 200;  ///< epochs (paper's x-axis)
   std::size_t batch_size = 64;
-  bool shuffle_each_epoch = true;
+  /// Seeds the shuffle of the training set at the start of every epoch.
   std::uint64_t shuffle_seed = 42;
   /// Evaluate test accuracy every `eval_every` epochs (1 = every epoch).
   std::size_t eval_every = 1;

@@ -29,6 +29,8 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "snapshot/archive.hpp"
@@ -220,20 +222,54 @@ class EventQueue {
     }
   }
 
-  void load_state(snapshot::StateReader& r) {
+  /// Load a saved queue whose owner's clock stands at `now`. Rejects, with
+  /// the field's offset, a kind byte that is not an EventKind, a time
+  /// before `now`, and a seq at or past next_seq or seen twice. Returns
+  /// each event with the payload offset of its record (time at +0, seq +8,
+  /// kind +16, a +17, b +25), in payload order, so the owner can check the
+  /// a/b payloads against state it loads later.
+  std::vector<std::pair<Event, std::uint64_t>> load_state(
+      snapshot::StateReader& r, SimTime now) {
     r.tag("EVTQ");
     clear();
     next_seq_ = r.u64();
     const std::uint64_t n = r.checked_count(8 + 8 + 1 + 8 + 8);
+    std::vector<std::pair<Event, std::uint64_t>> loaded;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> seqs;  // (seq, at)
     for (std::uint64_t i = 0; i < n; ++i) {
+      const std::uint64_t at = r.offset();
       Event e;
       e.time = r.u64();
       e.seq = r.u64();
-      e.kind = static_cast<EventKind>(r.u8());
+      const std::uint8_t kind = r.u8();
       e.a = r.u64();
       e.b = r.u64();
+      if (e.time < now) {
+        reject(at, "time " + std::to_string(e.time) + " is before the clock " +
+                       std::to_string(now));
+      }
+      if (e.seq >= next_seq_) {
+        reject(at + 8, "seq " + std::to_string(e.seq) + " is not below " +
+                           "next_seq " + std::to_string(next_seq_));
+      }
+      if (kind > static_cast<std::uint8_t>(EventKind::kWriteDone)) {
+        reject(at + 16, "kind byte " + std::to_string(kind) +
+                            " is not an EventKind");
+      }
+      e.kind = static_cast<EventKind>(kind);
       insert(e);
+      loaded.emplace_back(e, at);
+      seqs.emplace_back(e.seq, at + 8);
     }
+    // (time, seq) must be a unique total order: no seq may repeat.
+    std::sort(seqs.begin(), seqs.end());
+    for (std::size_t k = 1; k < seqs.size(); ++k) {
+      if (seqs[k].first == seqs[k - 1].first) {
+        reject(seqs[k].second,
+               "seq " + std::to_string(seqs[k].first) + " is used twice");
+      }
+    }
+    return loaded;
   }
 
  private:
@@ -242,6 +278,11 @@ class EventQueue {
   static constexpr std::uint64_t kBucketMask = kBuckets - 1;
 
   static std::uint64_t slot_of(SimTime t) { return t >> kSlotShift; }
+
+  [[noreturn]] static void reject(std::uint64_t at, const std::string& what) {
+    throw snapshot::SnapshotError(
+        "snapshot: event " + what + " at offset " + std::to_string(at), at);
+  }
 
   static bool earlier(const Event& x, const Event& y) {
     if (x.time != y.time) return x.time < y.time;

@@ -1,6 +1,5 @@
 #include "snapshot/campaign.hpp"
 
-#include <cassert>
 #include <filesystem>
 
 #include "snapshot/device_snapshot.hpp"
@@ -24,6 +23,7 @@ void save_label_config(StateWriter& w, const core::LabelGenConfig& c) {
   w.u32(c.features.max_tenants);
   w.u32(c.features.intensity_levels);
   w.f64(c.features.max_intensity_rps);
+  w.u8(static_cast<std::uint8_t>(c.objective));
   w.f64(c.fork_point);
   w.boolean(c.shared_prefix_fork);
   w.u8(static_cast<std::uint8_t>(c.base_strategy.kind));
@@ -37,17 +37,7 @@ void save_gen_config(StateWriter& w, const core::DatasetGenConfig& c) {
   w.u64(c.requests_per_workload);
   w.f64(c.min_rate_rps);
   w.f64(c.max_rate_rps);
-  w.f64(c.read_band_lo);
-  w.f64(c.read_band_hi);
-  w.f64(c.write_band_lo);
-  w.f64(c.write_band_hi);
   w.u64(c.address_space_pages);
-  w.f64(c.mean_pages_lo);
-  w.f64(c.mean_pages_hi);
-  w.f64(c.seq_lo);
-  w.f64(c.seq_hi);
-  w.f64(c.zipf_lo);
-  w.f64(c.zipf_hi);
   w.u64(c.seed);
   save_label_config(w, c.label);
 }
@@ -70,25 +60,6 @@ core::LabeledSample load_sample(StateReader& r) {
   s.strategy_total_us = r.vec_f64();
   s.strategy_score = r.vec_f64();
   return s;
-}
-
-/// Shared tail of generate_dataset_resumable and core::generate_dataset:
-/// pack samples into the nn::Dataset.
-core::GeneratedDataset pack_dataset(std::vector<core::LabeledSample> samples) {
-  core::GeneratedDataset out;
-  out.samples = std::move(samples);
-  nn::Matrix features(out.samples.size(), core::kFeatureDim);
-  std::vector<std::uint32_t> labels(out.samples.size());
-  for (std::size_t i = 0; i < out.samples.size(); ++i) {
-    const auto row = out.samples[i].features.to_vector();
-    assert(row.size() == core::kFeatureDim);
-    for (std::size_t c = 0; c < core::kFeatureDim; ++c) {
-      features(i, c) = row[c];
-    }
-    labels[i] = out.samples[i].label;
-  }
-  out.data = nn::Dataset(std::move(features), std::move(labels));
-  return out;
 }
 
 }  // namespace
@@ -178,7 +149,7 @@ core::GeneratedDataset generate_dataset_resumable(
     }
   }
 
-  return pack_dataset(std::move(samples));
+  return core::pack_dataset(std::move(samples));
 }
 
 }  // namespace ssdk::snapshot

@@ -1,6 +1,7 @@
 #include "snapshot/device_snapshot.hpp"
 
 #include <sstream>
+#include <stdexcept>
 
 namespace ssdk::snapshot {
 
@@ -106,7 +107,15 @@ ssd::SsdOptions load_options(StateReader& r) {
   o.power.cut_at_time = r.u64();
   o.power.cut_at_arrival = r.u64();
   o.power.auto_recover = r.boolean();
-  o.sched.policy = static_cast<sched::Policy>(r.u8());
+  const std::uint64_t policy_at = r.offset();
+  const std::uint8_t policy = r.u8();
+  if (policy > static_cast<std::uint8_t>(sched::Policy::kWeightedShare)) {
+    throw SnapshotError("snapshot: OPTS scheduler policy byte " +
+                            std::to_string(policy) + " at offset " +
+                            std::to_string(policy_at) + " is not a policy",
+                        policy_at);
+  }
+  o.sched.policy = static_cast<sched::Policy>(policy);
   o.sched.max_outstanding_requests = r.u32();
   o.sched.drr_quantum_pages = r.u32();
   const std::uint64_t n_shares = r.checked_count(4 + 4 + 8);
@@ -122,13 +131,46 @@ ssd::SsdOptions load_options(StateReader& r) {
   return o;
 }
 
-std::vector<char> save_device(const ssd::Ssd& device) {
+namespace {
+
+/// The device payload: construction options, then the mutable state.
+StateWriter device_payload(const ssd::Ssd& device) {
   StateWriter payload;
   save_options(payload, device.options());
   device.save_state(payload);
+  return payload;
+}
 
+std::unique_ptr<ssd::Ssd> device_from_payload(std::span<const char> payload) {
+  StateReader r(payload);
+  ssd::SsdOptions options = load_options(r);
+  std::unique_ptr<ssd::Ssd> device;
+  try {
+    device = std::make_unique<ssd::Ssd>(std::move(options));
+  } catch (const std::invalid_argument& e) {
+    // OPTS opens the payload.
+    throw SnapshotError(std::string("snapshot: OPTS section at offset 0 "
+                                    "holds invalid device options: ") +
+                            e.what(),
+                        0);
+  }
+  device->load_state(r);
+  if (!r.exhausted()) {
+    throw SnapshotError("snapshot: trailing garbage after device state at "
+                        "offset " +
+                            std::to_string(r.offset()) + ": " +
+                            std::to_string(r.remaining()) +
+                            " unread bytes",
+                        r.offset());
+  }
+  return device;
+}
+
+}  // namespace
+
+std::vector<char> save_device(const ssd::Ssd& device) {
   std::ostringstream os(std::ios::binary);
-  write_container(os, PayloadKind::kDevice, payload.buffer());
+  write_container(os, PayloadKind::kDevice, device_payload(device).buffer());
   const std::string s = os.str();
   return {s.begin(), s.end()};
 }
@@ -136,44 +178,16 @@ std::vector<char> save_device(const ssd::Ssd& device) {
 std::unique_ptr<ssd::Ssd> load_device(std::span<const char> buffer) {
   std::istringstream in(std::string(buffer.begin(), buffer.end()),
                         std::ios::binary);
-  const std::vector<char> payload =
-      read_container(in, PayloadKind::kDevice);
-  StateReader r(payload);
-  auto device = std::make_unique<ssd::Ssd>(load_options(r));
-  device->load_state(r);
-  if (!r.exhausted()) {
-    throw SnapshotError("snapshot: trailing garbage after device state at "
-                        "offset " +
-                            std::to_string(r.offset()) + ": " +
-                            std::to_string(r.remaining()) +
-                            " unread bytes",
-                        r.offset());
-  }
-  return device;
+  return device_from_payload(read_container(in, PayloadKind::kDevice));
 }
 
 void save_device_file(const std::string& path, const ssd::Ssd& device) {
-  StateWriter payload;
-  save_options(payload, device.options());
-  device.save_state(payload);
-  write_container_file(path, PayloadKind::kDevice, payload.buffer());
+  write_container_file(path, PayloadKind::kDevice,
+                       device_payload(device).buffer());
 }
 
 std::unique_ptr<ssd::Ssd> load_device_file(const std::string& path) {
-  const std::vector<char> payload =
-      read_container_file(path, PayloadKind::kDevice);
-  StateReader r(payload);
-  auto device = std::make_unique<ssd::Ssd>(load_options(r));
-  device->load_state(r);
-  if (!r.exhausted()) {
-    throw SnapshotError("snapshot: trailing garbage after device state at "
-                        "offset " +
-                            std::to_string(r.offset()) + ": " +
-                            std::to_string(r.remaining()) +
-                            " unread bytes",
-                        r.offset());
-  }
-  return device;
+  return device_from_payload(read_container_file(path, PayloadKind::kDevice));
 }
 
 }  // namespace ssdk::snapshot

@@ -1265,12 +1265,7 @@ double Ssd::channel_utilization(std::uint32_t channel) const {
          static_cast<double>(now_);
 }
 
-Duration Ssd::plane_backlog_ns(std::uint64_t global_plane_id) const {
-  // Map the plane to its execution unit under the current granularity.
-  const std::uint64_t unit =
-      options_.multiplane_program
-          ? global_plane_id
-          : global_plane_id / options_.geometry.planes_per_chip;
+Duration Ssd::unit_backlog_ns(std::uint64_t unit) const {
   const UnitState& u = units_[unit];
   Duration backlog = 0;
   if (u.busy && u.busy_until > now_) backlog += u.busy_until - now_;
@@ -1298,26 +1293,15 @@ Duration Ssd::channel_backlog_ns(std::uint32_t channel) const {
 }
 
 Duration Ssd::chip_backlog_ns(std::uint32_t global_chip_id) const {
-  if (!options_.multiplane_program) {
-    // The chip is the execution unit.
-    const UnitState& u = units_[global_chip_id];
-    Duration backlog = 0;
-    if (u.busy && u.busy_until > now_) backlog += u.busy_until - now_;
-    backlog += static_cast<Duration>(u.read_wait.size()) *
-               (options_.timing.read_ns + page_xfer_ns_);
-    backlog += static_cast<Duration>(u.write_q.size()) *
-               (page_xfer_ns_ + options_.timing.program_ns);
-    backlog += static_cast<Duration>(u.erase_wait.size()) *
-               options_.timing.erase_ns;
-    return backlog;
-  }
+  // The chip is the execution unit.
+  if (!options_.multiplane_program) return unit_backlog_ns(global_chip_id);
   const auto& g = options_.geometry;
   const std::uint64_t base =
       static_cast<std::uint64_t>(global_chip_id) * g.planes_per_chip;
   // Least-loaded plane of the chip dominates where the next write lands.
   Duration best = std::numeric_limits<Duration>::max();
   for (std::uint32_t i = 0; i < g.planes_per_chip; ++i) {
-    best = std::min(best, plane_backlog_ns(base + i));
+    best = std::min(best, unit_backlog_ns(base + i));
   }
   return best;
 }

@@ -242,7 +242,6 @@ class Ssd {
 
   Duration channel_backlog_ns(std::uint32_t channel) const;
   Duration chip_backlog_ns(std::uint32_t global_chip) const;
-  Duration plane_backlog_ns(std::uint64_t global_plane) const;
 
   // --- utilization accounting -----------------------------------------------
 
@@ -592,6 +591,9 @@ class Ssd {
   std::uint64_t first_unit(std::uint32_t channel) const {
     return static_cast<std::uint64_t>(channel) * units_per_channel();
   }
+  /// Work queued on one execution unit: the rest of its current operation
+  /// plus every waiting read, program and erase at its service time.
+  Duration unit_backlog_ns(std::uint64_t unit) const;
 
   /// Concrete LoadView over this device's live queues — one indirect call
   /// per backlog probe instead of a type-erased std::function invocation.

@@ -216,7 +216,9 @@ void Ssd::load_state(snapshot::StateReader& r) {
   r.tag("SSD_");
 
   now_ = r.u64();
-  events_.load_state(r);
+  // Event payloads name units, channels, ops and requests: checked once
+  // OPSL is loaded.
+  const auto events = events_.load_state(r, now_);
   ftl_.load_state(r);
 
   // Op-id queues are checked against the op slab once OPSL is loaded:
@@ -411,19 +413,47 @@ void Ssd::load_state(snapshot::StateReader& r) {
     listed[id] = 1;
   }
   next_enq_seq_ = r.u64();
-  // Every queued op id must name an in-use slot.
+  // Every queued op id, and every op an event names, must be an in-use
+  // slot.
+  const auto require_in_use = [&](std::uint64_t at, const std::string& who,
+                                  std::uint64_t id) {
+    if (id >= nops) {
+      reject(at, who + " names op " + std::to_string(id) + " outside the " +
+                     std::to_string(nops) + "-entry op slab");
+    }
+    if (!ops_[id].in_use) {
+      reject(at, who + " names free op slot " + std::to_string(id));
+    }
+  };
   for (const QueueAt& q : queues) {
     for (std::size_t k = 0; k < q.queue->size(); ++k) {
-      const std::uint64_t id = q.queue->at(k);
-      const std::uint64_t at = q.at + 8 + 8 * k;
-      if (id >= nops) {
-        reject(at, "op queue names op " + std::to_string(id) +
-                       " outside the " + std::to_string(nops) +
-                       "-entry op slab");
+      require_in_use(q.at + 8 + 8 * k, "op queue", q.queue->at(k));
+    }
+  }
+  // Event records: a at +17, b at +25.
+  for (std::size_t k = 0; k < events.size(); ++k) {
+    const auto& [e, at] = events[k];
+    const std::string who = item("event", k);
+    const auto require_below = [&](std::uint64_t limit, const char* what) {
+      if (e.a >= limit) {
+        reject(at + 17, who + " names " + what + " " + std::to_string(e.a) +
+                            " of only " + std::to_string(limit));
       }
-      if (!ops_[id].in_use) {
-        reject(at, "op queue names free op slot " + std::to_string(id));
-      }
+    };
+    switch (e.kind) {
+      case sim::EventKind::kFlashDone:
+      case sim::EventKind::kWriteDone:
+        require_below(units_.size(), "unit");
+        require_in_use(at + 25, who, e.b);
+        break;
+      case sim::EventKind::kBusFree:
+        require_below(channels_.size(), "channel");
+        if (e.b != sim::kNoOp) require_in_use(at + 25, who, e.b);
+        break;
+      case sim::EventKind::kArrival:
+      case sim::EventKind::kBufferDone:
+        require_below(nreq, "request");
+        break;
     }
   }
   // grant_seq_ is derived state, not wire format: rebuild it from each

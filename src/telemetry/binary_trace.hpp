@@ -18,7 +18,7 @@ namespace ssdk::telemetry {
 
 struct BinaryTrace {
   std::vector<TraceEvent> events;
-  /// Events the recording ring lost (wrap or drop) before export.
+  /// Events the recording ring overwrote before export.
   std::uint64_t dropped = 0;
 };
 

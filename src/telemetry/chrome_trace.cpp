@@ -117,7 +117,7 @@ void write_chrome_trace(std::ostream& os,
     if (e.channel != kNoResource) channels.insert(e.channel);
     if (e.unit != kNoResource) units.insert(e.unit);
     if (e.kind == SpanKind::kRequest || e.kind == SpanKind::kQueueWait ||
-        e.kind == SpanKind::kBufferHit) {
+        e.kind == SpanKind::kSchedWait || e.kind == SpanKind::kBufferHit) {
       tenants.insert(e.tenant);
     }
   }
@@ -162,6 +162,7 @@ void write_chrome_trace(std::ostream& os,
         break;
       case SpanKind::kRequest:
       case SpanKind::kQueueWait:
+      case SpanKind::kSchedWait:
       case SpanKind::kBufferHit:
         async_event(os, e, async_id++);
         break;

@@ -8,8 +8,9 @@
 //                          programs, erases, retry senses + GC/retire/
 //                          placement point events
 //   pid 3 "tenants"        one thread per tenant; request lifecycle,
-//                          queue waits and buffer hits as async (b/e)
-//                          events so concurrent requests stack
+//                          queue waits, admission (scheduler) waits and
+//                          buffer hits as async (b/e) events so
+//                          concurrent requests stack
 //   pid 4 "keeper"         strategy decisions as instant events with the
 //                          window's features and chosen strategy in args
 #pragma once

@@ -58,8 +58,7 @@ void Tracer::record(const TraceEvent& event) {
     ring_.push_back(event);
     return;
   }
-  if (!config_.overwrite_oldest) return;  // ring full: drop the newcomer
-  ring_[head_] = event;  // overwrite the oldest; head advances
+  ring_[head_] = event;  // full: overwrite the oldest; head advances
   head_ = (head_ + 1) % capacity;
 }
 

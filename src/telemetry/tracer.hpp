@@ -24,10 +24,9 @@ struct TelemetryConfig {
   /// the default ~1M events covers roughly 250k requests of full detail.
   /// The ring's storage grows with the events recorded (48 bytes each),
   /// doubling up to this capacity, so a short run pays only for its own.
+  /// When full, the ring overwrites the oldest events (keeps the tail of
+  /// the run, where contention usually lives).
   std::size_t capacity_events = 1u << 20;
-  /// true: the ring overwrites the oldest events when full (keep the tail
-  /// of the run); false: new events are dropped (keep the head).
-  bool overwrite_oldest = true;
   /// Record FTL placement decisions (kPageAlloc) — one point event per
   /// write; off by default to keep the ring for timing spans.
   bool ftl_decisions = false;
@@ -65,7 +64,7 @@ class Tracer {
 
   std::size_t size() const { return ring_.size(); }
   std::uint64_t recorded() const { return recorded_; }
-  /// Events lost to ring wrap/drop: recorded() - size().
+  /// Events lost to ring wrap: recorded() - size().
   std::uint64_t dropped() const { return recorded_ - ring_.size(); }
 
   /// Forget every event and decision; the ring keeps its storage.

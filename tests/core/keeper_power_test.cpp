@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "telemetry/tracer.hpp"
 #include "trace/mixer.hpp"
 #include "trace/synthetic.hpp"
 
@@ -139,6 +140,77 @@ TEST(KeeperPower, WatchdogKeepsSwitchUnderLenientThreshold) {
   EXPECT_EQ(keeper.rollbacks(), 0u);
   EXPECT_EQ(keeper.chosen_strategy()->name(), "5:1:1:1");
   EXPECT_EQ(device.ftl().tenant_channels(0).size(), 5u);
+}
+
+// Every decision the keeper logs reaches an attached tracer, in order, at
+// the same time and naming the same strategy — the watchdog rollback and
+// the power-loss re-entry included, both of which count as a change.
+TEST(KeeperPower, DecisionsReachAttachedTracerOnEveryPath) {
+  const auto space = StrategySpace::for_tenants(4);
+  const auto expect_mirrored = [](const SsdKeeper& keeper,
+                                  const telemetry::Tracer& tracer) {
+    const auto& decisions = keeper.decisions();
+    const auto& traced = tracer.decisions();
+    ASSERT_EQ(traced.size(), decisions.size());
+    for (std::size_t i = 0; i < decisions.size(); ++i) {
+      EXPECT_EQ(traced[i].time, decisions[i].first) << i;
+      EXPECT_EQ(traced[i].strategy, decisions[i].second.name()) << i;
+    }
+  };
+
+  {
+    SCOPED_TRACE("watchdog rollback");
+    const auto allocator = constant_allocator(
+        space, static_cast<std::uint32_t>(space.index_of("5:1:1:1")));
+    KeeperConfig config;
+    config.collect_window_ns = 50 * kMillisecond;
+    config.watchdog_window_ns = 50 * kMillisecond;
+    config.rollback_p99_ratio = 1.05;
+    telemetry::Tracer tracer;
+    ssd::Ssd device{ssd::SsdOptions{}};
+    device.set_tracer(&tracer);
+    SsdKeeper keeper(allocator, config);
+    keeper.attach(device);
+    device.submit(four_tenant_mix(1500));
+    device.run_to_completion();
+    ASSERT_EQ(keeper.rollbacks(), 1u);
+    expect_mirrored(keeper, tracer);
+    ASSERT_EQ(tracer.decisions().size(), 2u);
+    const telemetry::KeeperDecision& rollback = tracer.decisions()[1];
+    EXPECT_EQ(rollback.strategy, "Shared");
+    EXPECT_TRUE(rollback.changed);
+    EXPECT_EQ(rollback.features.rfind("watchdog rollback of 5:1:1:1", 0), 0u)
+        << rollback.features;
+  }
+
+  {
+    SCOPED_TRACE("power-loss re-entry");
+    const auto allocator = constant_allocator(
+        space, static_cast<std::uint32_t>(space.index_of("4:2:1:1")));
+    KeeperConfig config;
+    config.collect_window_ns = 50 * kMillisecond;
+    ssd::SsdOptions options;
+    options.power.enabled = true;
+    options.power.cut_at_time = 100 * kMillisecond;
+    options.power.auto_recover = true;
+    options.geometry.blocks_per_plane = 32;
+    options.geometry.pages_per_block = 16;
+    telemetry::Tracer tracer;
+    ssd::Ssd device{options};
+    device.set_tracer(&tracer);
+    SsdKeeper keeper(allocator, config);
+    keeper.attach(device);
+    device.submit(four_tenant_mix(1500, 128));
+    device.run_to_completion();
+    ASSERT_EQ(keeper.power_recoveries(), 1u);
+    expect_mirrored(keeper, tracer);
+    ASSERT_GE(tracer.decisions().size(), 3u);
+    const telemetry::KeeperDecision& recovery = tracer.decisions()[1];
+    EXPECT_EQ(recovery.strategy, "Shared");
+    EXPECT_TRUE(recovery.changed);
+    EXPECT_EQ(recovery.features,
+              "power-loss recovery: re-entering collection");
+  }
 }
 
 }  // namespace

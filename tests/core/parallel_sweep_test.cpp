@@ -1,17 +1,13 @@
 // Bit-reproducibility of the parallel sweep paths: a workload's
-// per-strategy sweep, the nested dataset generation, and the keeper's
-// pooled what-if trials must produce identical results at any thread
-// count. Every task runs an independent deterministic simulation and
-// writes only its own slot, so the merge is pure index order — these
-// tests pin that contract.
+// per-strategy sweep and the nested dataset generation must produce
+// identical results at any thread count. Every task runs an independent
+// deterministic simulation and writes only its own slot, so the merge is
+// pure index order — these tests pin that contract.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "core/keeper.hpp"
 #include "core/label_gen.hpp"
-#include "trace/mixer.hpp"
-#include "trace/synthetic.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ssdk::core {
@@ -90,75 +86,6 @@ TEST(ParallelSweep, GenerateDatasetIdenticalAcrossPoolSizes) {
     }
     EXPECT_EQ(out.data.labels(), base.data.labels());
     EXPECT_EQ(out.data.features().raw(), base.data.features().raw());
-  }
-}
-
-/// Allocator that always answers with the given strategy index.
-ChannelAllocator constant_allocator(const StrategySpace& space,
-                                    std::uint32_t winner) {
-  nn::Matrix w(kFeatureDim, space.size());
-  nn::Matrix b(1, space.size());
-  b(0, winner) = 10.0;
-  std::vector<nn::DenseLayer> layers;
-  layers.emplace_back(std::move(w), std::move(b), nn::Activation::kIdentity);
-  nn::StandardScaler scaler;
-  scaler.set_parameters(std::vector<double>(kFeatureDim, 0.0),
-                        std::vector<double>(kFeatureDim, 1.0));
-  return ChannelAllocator(nn::Mlp(std::move(layers)), std::move(scaler),
-                          space);
-}
-
-std::vector<sim::IoRequest> four_tenant_mix(std::uint64_t requests_each) {
-  std::vector<trace::Workload> workloads;
-  for (std::uint32_t t = 0; t < 4; ++t) {
-    trace::SyntheticSpec spec;
-    spec.write_fraction = t % 2 == 0 ? 0.9 : 0.1;
-    spec.request_count = requests_each;
-    spec.intensity_rps = 5000.0;
-    spec.address_space_pages = 4096;
-    spec.seed = 100 + t;
-    workloads.push_back(trace::generate_synthetic(spec));
-  }
-  return trace::mix_workloads(workloads);
-}
-
-/// Keeper what-if trials on a pool: every fork replays concurrently, but
-/// the scores, the measured-best choice and the resulting schedule match
-/// the serial keeper exactly.
-TEST(ParallelSweep, KeeperWhatIfPoolMatchesSerial) {
-  const auto space = StrategySpace::for_tenants(4);
-  const auto allocator = constant_allocator(
-      space, static_cast<std::uint32_t>(space.index_of("4:2:1:1")));
-  const auto requests = four_tenant_mix(1000);
-
-  const auto run = [&](ThreadPool* pool) {
-    KeeperConfig config;
-    config.collect_window_ns = 50 * kMillisecond;
-    config.what_if_top_k = 3;
-    config.what_if_pool = pool;
-    ssd::Ssd device{ssd::SsdOptions{}};
-    SsdKeeper keeper(allocator, config);
-    keeper.attach(device);
-    device.submit(requests);
-    device.run_to_completion();
-    EXPECT_TRUE(keeper.switched());
-    return std::make_tuple(keeper.what_if_measurements(),
-                           keeper.chosen_strategy()->name(), device.now());
-  };
-
-  const auto serial = run(nullptr);
-  for (const std::size_t threads : {1u, 4u, 16u}) {
-    ThreadPool pool(threads);
-    const auto pooled = run(&pool);
-    SCOPED_TRACE(threads);
-    ASSERT_EQ(std::get<0>(pooled).size(), std::get<0>(serial).size());
-    for (std::size_t i = 0; i < std::get<0>(serial).size(); ++i) {
-      EXPECT_EQ(std::get<0>(pooled)[i].first, std::get<0>(serial)[i].first);
-      EXPECT_EQ(std::get<0>(pooled)[i].second,
-                std::get<0>(serial)[i].second);
-    }
-    EXPECT_EQ(std::get<1>(pooled), std::get<1>(serial));
-    EXPECT_EQ(std::get<2>(pooled), std::get<2>(serial));
   }
 }
 

@@ -27,6 +27,9 @@ TEST(NaiveBayes, RejectsBadInputs) {
   NaiveBayesClassifier nb;
   EXPECT_THROW(nb.fit(Dataset()), std::invalid_argument);
   EXPECT_THROW(nb.predict(Matrix(1, 2)), std::logic_error);
+  // Rows must have the fitted feature count, in every build type.
+  nb.fit(blobs(30, 1));
+  EXPECT_THROW(nb.predict(Matrix(1, 3)), std::invalid_argument);
 }
 
 TEST(NaiveBayes, SeparableBlobsHighAccuracy) {

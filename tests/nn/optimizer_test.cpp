@@ -24,12 +24,13 @@ double train_toy(Optimizer& opt, int steps = 150) {
 }
 
 TEST(Optimizer, FactoryKnowsAllNames) {
-  for (const char* name :
-       {"sgd", "sgd-momentum", "adagrad", "rmsprop", "adam"}) {
+  for (const char* name : {"sgd", "sgd-momentum", "adam"}) {
     const auto opt = make_optimizer(name);
     EXPECT_EQ(opt->name(), name);
   }
-  EXPECT_THROW(make_optimizer("lbfgs"), std::invalid_argument);
+  for (const char* name : {"lbfgs", "adagrad", "rmsprop"}) {
+    EXPECT_THROW(make_optimizer(name), std::invalid_argument) << name;
+  }
 }
 
 TEST(Optimizer, SgdStepIsPlainDescent) {
@@ -70,8 +71,7 @@ TEST(Optimizer, AdamFirstStepApproachesLr) {
 }
 
 TEST(Optimizer, AllOptimizersConvergeOnToyProblem) {
-  for (const char* name :
-       {"sgd", "sgd-momentum", "adagrad", "rmsprop", "adam"}) {
+  for (const char* name : {"sgd", "sgd-momentum", "adam"}) {
     const auto opt = make_optimizer(name);
     const double final_loss = train_toy(*opt);
     EXPECT_LT(final_loss, 0.2) << name;

@@ -130,6 +130,16 @@ TEST(Campaign, FingerprintCoversDeviceAndSweepParameters) {
   mode_changed.label.shared_prefix_fork = true;
   EXPECT_NE(campaign_fingerprint(mode_changed), base);
 
+  // Regression: the objective was left out of the hash, so a checkpoint
+  // labeled for total latency resumed under the fairness objective.
+  for (const auto objective : {core::LabelObjective::kFairness,
+                                core::LabelObjective::kSloViolations}) {
+    auto objective_changed = config;
+    objective_changed.label.objective = objective;
+    EXPECT_NE(campaign_fingerprint(objective_changed), base)
+        << core::label_objective_name(objective);
+  }
+
   EXPECT_EQ(campaign_fingerprint(tiny_config()), base);
 }
 

@@ -830,6 +830,141 @@ TEST(DeviceSnapshot, RejectsResealedDeviceMutations) {
   EXPECT_TRUE(barrier_seen) << "no pause point holds a live flush barrier";
 }
 
+// Regression: the EVTQ loader took every pending event as given, and the
+// OPTS loader cast the policy byte unchecked and let a geometry error
+// escape as std::invalid_argument. Each mutation below loaded; the run
+// loop would then skip an unknown kind, index units_, channels_, the op
+// slab or the request table out of bounds, break the unique (time, seq)
+// order or move the clock backwards.
+TEST(DeviceSnapshot, RejectsResealedEventAndOptionMutations) {
+  // Mid-run, these devices hold pending events of every kind the device
+  // schedules: flash completions, bus releases, merged non-pipelined write
+  // completions and write-buffer completions. A buffered write holds its
+  // buffer completions for 2 us, so the last device stops 0.5 us after
+  // one.
+  GoldenRecipe buffered;
+  buffered.name = "buffered_write";
+  buffered.tenants = 1;
+  buffered.config.ssd.write_buffer.capacity_pages = 8;
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    sim::IoRequest r;
+    r.id = i;
+    r.type = sim::OpType::kWrite;
+    r.lpn = 4 * i;
+    r.page_count = 2;
+    r.arrival = 1000 + 500 * i;
+    buffered.requests.push_back(r);
+  }
+  const GoldenRecipe recipes[] = {testing::golden_gc_churn(),
+                                  testing::golden_multiplane_writes(),
+                                  buffered};
+  std::map<sim::EventKind, int> kinds_seen;
+  for (const GoldenRecipe& recipe : recipes) {
+    SCOPED_TRACE(recipe.name);
+    const auto device = device_at(recipe.requests, recipe.tenants,
+                                  recipe.config, recipe.requests.size() / 2);
+    const std::vector<char> payload = payload_of(*device);
+    const DeviceLayout layout = parse_device(payload);
+    ASSERT_GT(device->now(), 0u);
+
+    // --- EVTQ: u64 next_seq, u64 count, then 33-byte events (u64 time,
+    // u64 seq, u8 kind, u64 a, u64 b).
+    const std::size_t evtq = find_tag_from(payload, "EVTQ", 0) + 4;
+    const std::uint64_t next_seq = read_u64_at(payload, evtq);
+    const std::uint64_t count = read_u64_at(payload, evtq + 8);
+    ASSERT_GE(count, 2u);
+    const auto event = [&](std::uint64_t i) { return evtq + 16 + 33 * i; };
+    const std::size_t first = event(0);
+    expect_rejected(
+        payload, [&](auto& b) { write_u64_at(b, first, 0); },
+        "before the clock", first);
+    expect_rejected(
+        payload, [&](auto& b) { write_u64_at(b, first + 8, next_seq + 5); },
+        "not below next_seq", first + 8);
+    expect_rejected(
+        payload,
+        [&](auto& b) {
+          write_u64_at(b, event(1) + 8, read_u64_at(b, first + 8));
+        },
+        "used twice", event(1) + 8);
+    expect_rejected(
+        payload, [&](auto& b) { b[first + 16] = 9; }, "not an EventKind",
+        first + 16);
+    // An arrival event names a request index.
+    expect_rejected(
+        payload,
+        [&](auto& b) {
+          b[first + 16] = static_cast<char>(sim::EventKind::kArrival);
+          write_u64_at(b, first + 17, layout.requests);
+        },
+        "names request", first + 17);
+
+    // Payloads of the first event of each kind.
+    const std::uint64_t free_id =
+        layout.free_len > 0 ? read_u64_at(payload, layout.free_at + 8)
+                            : layout.ops;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const std::size_t at = event(i);
+      const auto kind = static_cast<sim::EventKind>(payload[at + 16]);
+      if (kinds_seen[kind]++ > 0) continue;
+      const std::uint64_t b_op = read_u64_at(payload, at + 25);
+      switch (kind) {
+        case sim::EventKind::kFlashDone:
+        case sim::EventKind::kWriteDone:
+          expect_rejected(
+              payload, [&](auto& b) { write_u64_at(b, at + 17, 1ULL << 20); },
+              "names unit", at + 17);
+          expect_rejected(
+              payload, [&](auto& b) { write_u64_at(b, at + 25, 1ULL << 40); },
+              "names op", at + 25);
+          if (free_id < layout.ops) {
+            expect_rejected(
+                payload, [&](auto& b) { write_u64_at(b, at + 25, free_id); },
+                "free op slot", at + 25);
+          }
+          break;
+        case sim::EventKind::kBusFree:
+          expect_rejected(
+              payload, [&](auto& b) { write_u64_at(b, at + 17, 1ULL << 20); },
+              "names channel", at + 17);
+          if (b_op != sim::kNoOp) {
+            expect_rejected(
+                payload,
+                [&](auto& b) { write_u64_at(b, at + 25, 1ULL << 40); },
+                "names op", at + 25);
+          }
+          break;
+        case sim::EventKind::kBufferDone:
+        case sim::EventKind::kArrival:
+          expect_rejected(
+              payload,
+              [&](auto& b) { write_u64_at(b, at + 17, layout.requests); },
+              "names request", at + 17);
+          break;
+      }
+    }
+
+    // --- OPTS: the policy byte sits before the max-outstanding and DRR
+    // quantum u32s, the u64 share count and 16 bytes per share.
+    const std::size_t policy_at =
+        find_tag_from(payload, "SSD_", 0) - (4 + 4 + 8) -
+        16 * device->options().sched.shares.size() - 1;
+    expect_rejected(
+        payload, [&](auto& b) { b[policy_at] = 9; }, "not a policy",
+        policy_at);
+    // The geometry's channel count is OPTS' first field.
+    expect_rejected(
+        payload, [&](auto& b) { write_u32_at(b, 4, 0); },
+        "OPTS section at offset 0 holds invalid device options", 0);
+  }
+  for (const auto kind :
+       {sim::EventKind::kFlashDone, sim::EventKind::kBusFree,
+        sim::EventKind::kBufferDone, sim::EventKind::kWriteDone}) {
+    EXPECT_GT(kinds_seen[kind], 0)
+        << "no pending event of kind " << static_cast<int>(kind);
+  }
+}
+
 TEST(DeviceSnapshot, L2pmStoresFourBytesPerEntry) {
   const auto requests = pipeline_workload();
   const auto cut = static_cast<std::uint64_t>(

@@ -319,11 +319,15 @@ TEST(SsdInvariants, DetectsFreeListDuplicate) {
 }
 
 // --- event queue --------------------------------------------------------------
+//
+// The EVTQ loader checks every event's time, seq and kind, and its a/b
+// payload once OPSL is loaded, so these corruptions are refused at load
+// time with a SnapshotError instead of surfacing in the audit afterwards.
 
 TEST(SsdInvariants, DetectsEventBeforeNow) {
   auto device = busy_device();
   ASSERT_GT(device->now(), 0u);
-  expect_corruption_detected(
+  expect_load_rejected(
       *device,
       [](std::vector<char>& bytes) {
         // EVTQ: tag, u64 next_seq, u64 count, then 33-byte events whose
@@ -338,7 +342,7 @@ TEST(SsdInvariants, DetectsEventBeforeNow) {
 
 TEST(SsdInvariants, DetectsDuplicateEventSeq) {
   auto device = busy_device();
-  expect_corruption_detected(
+  expect_load_rejected(
       *device,
       [](std::vector<char>& bytes) {
         const std::size_t evtq = find_tag(bytes, "EVTQ");
@@ -354,13 +358,13 @@ TEST(SsdInvariants, DetectsDuplicateEventSeq) {
 
 TEST(SsdInvariants, DetectsOpSlabCorruption) {
   auto device = busy_device();
-  expect_corruption_detected(
+  expect_load_rejected(
       *device,
       [](std::vector<char>& bytes) {
         // OPSL: tag, u64 count, then 90-byte op records ending in the
-        // in_use byte. Flipping op 0's flag either leaks it (in use,
-        // vanished from the free list) or double-frees it (free-listed
-        // and in use); the slab accounting catches both.
+        // in_use byte. Flipping op 0's flag either frees an op that a
+        // queue or a pending event still names, or puts a free-listed op
+        // in use; the OPSL loader refuses both.
         const std::size_t opsl = find_tag(bytes, "OPSL");
         ASSERT_GT(read_u64(bytes, opsl + 4), 0u);
         const std::size_t flag_pos = opsl + 12 + 89;

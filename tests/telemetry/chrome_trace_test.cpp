@@ -5,6 +5,9 @@
 #include <cctype>
 #include <sstream>
 
+#include "ssd/ssd.hpp"
+#include "trace/catalog.hpp"
+
 namespace ssdk::telemetry {
 namespace {
 
@@ -175,6 +178,58 @@ TEST(ChromeTrace, TracksAndSpansPresent) {
   EXPECT_NE(json.find("strategy 4:2:1:1"), std::string::npos);
   EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos);
   EXPECT_NE(json.find("\\nnewline"), std::string::npos);
+}
+
+std::uint64_t occurrences(const std::string& text, const std::string& what) {
+  std::uint64_t n = 0;
+  for (auto at = text.find(what); at != std::string::npos;
+       at = text.find(what, at + what.size())) {
+    ++n;
+  }
+  return n;
+}
+
+// Regression: the exporter had no case for kSchedWait, so the admission
+// waits of a finite-window WFQ run never reached the JSON, and a tenant
+// that only waited got no track name.
+TEST(ChromeTrace, SchedWaitSpansRenderOnTenantTrack) {
+  ssd::SsdOptions options;
+  options.sched.policy = sched::Policy::kWfq;
+  options.sched.max_outstanding_requests = 2;
+  options.sched.shares.push_back({.tenant = 0, .weight = 4});
+  Tracer tracer;
+  ssd::Ssd device(options);
+  device.set_tracer(&tracer);
+  device.submit(trace::build_mix(1, 0.1, 600));
+  device.run_to_completion();
+  std::uint64_t waits = 0;
+  for (const auto& e : tracer.events()) {
+    if (e.kind == SpanKind::kSchedWait) ++waits;
+  }
+  ASSERT_GT(waits, 0u);
+
+  std::ostringstream os;
+  write_chrome_trace(os, tracer);
+  const std::string json = os.str();
+  EXPECT_TRUE(JsonChecker(json).valid());
+  EXPECT_EQ(occurrences(json, "{\"ph\":\"b\",\"cat\":\"lifecycle\","
+                              "\"name\":\"sched_wait\""),
+            waits);
+  EXPECT_EQ(occurrences(json, "{\"ph\":\"e\",\"cat\":\"lifecycle\","
+                              "\"name\":\"sched_wait\""),
+            waits);
+
+  Tracer only_waits;
+  TraceEvent wait;
+  wait.begin = 1000;
+  wait.end = 5000;
+  wait.kind = SpanKind::kSchedWait;
+  wait.tenant = 7;
+  only_waits.record(wait);
+  std::ostringstream waiting;
+  write_chrome_trace(waiting, only_waits);
+  EXPECT_NE(waiting.str().find("\"tenant 7\""), std::string::npos)
+      << waiting.str();
 }
 
 TEST(JsonEscape, ControlAndSpecialCharacters) {

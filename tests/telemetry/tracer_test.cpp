@@ -31,7 +31,6 @@ TEST(Tracer, RecordsInOrder) {
 TEST(Tracer, OverwriteOldestKeepsTail) {
   TelemetryConfig config;
   config.capacity_events = 4;
-  config.overwrite_oldest = true;
   Tracer tracer(config);
   for (SimTime t = 0; t < 10; ++t) tracer.record(event_at(t * 100));
   EXPECT_EQ(tracer.size(), 4u);
@@ -42,20 +41,6 @@ TEST(Tracer, OverwriteOldestKeepsTail) {
   // The last four recorded events survive, oldest first.
   EXPECT_EQ(events[0].begin, 600u);
   EXPECT_EQ(events[3].begin, 900u);
-}
-
-TEST(Tracer, DropNewKeepsHead) {
-  TelemetryConfig config;
-  config.capacity_events = 3;
-  config.overwrite_oldest = false;
-  Tracer tracer(config);
-  for (SimTime t = 0; t < 8; ++t) tracer.record(event_at(t * 100));
-  EXPECT_EQ(tracer.size(), 3u);
-  EXPECT_EQ(tracer.dropped(), 5u);
-  const auto events = tracer.events();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].begin, 0u);
-  EXPECT_EQ(events[2].begin, 200u);
 }
 
 TEST(Tracer, RecordPointIsZeroLength) {
@@ -100,52 +85,44 @@ TEST(Tracer, ClearResetsEverything) {
 }
 
 // The ring's storage grows with the events recorded; at capacity it must
-// give the same overwrite-oldest and drop-newest results as a ring sized
-// up front. The reference is a deque holding what must survive.
+// overwrite the oldest events exactly as a ring sized up front would. The
+// reference is a deque holding what must survive.
 TEST(Tracer, GrowingRingMatchesFixedRingSemantics) {
-  for (const bool overwrite : {true, false}) {
-    for (const std::size_t capacity : {1u, 3u, 64u, 65u, 1000u, 4096u}) {
-      TelemetryConfig config;
-      config.capacity_events = capacity;
-      config.overwrite_oldest = overwrite;
-      Tracer tracer(config);
-      std::deque<SimTime> expected;
-      std::uint64_t recorded = 0;
-      const auto check = [&] {
-        ASSERT_EQ(tracer.size(), expected.size());
-        EXPECT_EQ(tracer.recorded(), recorded);
-        EXPECT_EQ(tracer.dropped(), recorded - expected.size());
-        const auto events = tracer.events();
-        ASSERT_EQ(events.size(), expected.size());
-        for (std::size_t i = 0; i < events.size(); ++i) {
-          ASSERT_EQ(events[i].begin, expected[i])
-              << "capacity " << capacity << " overwrite " << overwrite
-              << " event " << i;
+  for (const std::size_t capacity : {1u, 3u, 64u, 65u, 1000u, 4096u}) {
+    TelemetryConfig config;
+    config.capacity_events = capacity;
+    Tracer tracer(config);
+    std::deque<SimTime> expected;
+    std::uint64_t recorded = 0;
+    const auto check = [&] {
+      ASSERT_EQ(tracer.size(), expected.size());
+      EXPECT_EQ(tracer.recorded(), recorded);
+      EXPECT_EQ(tracer.dropped(), recorded - expected.size());
+      const auto events = tracer.events();
+      ASSERT_EQ(events.size(), expected.size());
+      for (std::size_t i = 0; i < events.size(); ++i) {
+        ASSERT_EQ(events[i].begin, expected[i])
+            << "capacity " << capacity << " event " << i;
+      }
+    };
+    // Fill in stages across the growth steps, past capacity, then clear
+    // (the ring keeps its storage) and go round again.
+    for (int round = 0; round < 2; ++round) {
+      for (const std::size_t batch :
+           {std::size_t{1}, capacity / 2, capacity, 2 * capacity + 7}) {
+        for (std::size_t i = 0; i < batch; ++i) {
+          const SimTime t = recorded * 10;
+          tracer.record(event_at(t));
+          ++recorded;
+          if (expected.size() == capacity) expected.pop_front();
+          expected.push_back(t);
         }
-      };
-      // Fill in stages across the growth steps, past capacity, then clear
-      // (the ring keeps its storage) and go round again.
-      for (int round = 0; round < 2; ++round) {
-        for (const std::size_t batch :
-             {std::size_t{1}, capacity / 2, capacity, 2 * capacity + 7}) {
-          for (std::size_t i = 0; i < batch; ++i) {
-            const SimTime t = recorded * 10;
-            tracer.record(event_at(t));
-            ++recorded;
-            if (expected.size() < capacity) {
-              expected.push_back(t);
-            } else if (overwrite) {
-              expected.pop_front();
-              expected.push_back(t);
-            }
-          }
-          check();
-        }
-        tracer.clear();
-        expected.clear();
-        recorded = 0;
         check();
       }
+      tracer.clear();
+      expected.clear();
+      recorded = 0;
+      check();
     }
   }
 }
