@@ -15,7 +15,8 @@ constexpr std::uint64_t kWatchdogMinSamples = 32;
 }  // namespace
 
 SsdKeeper::SsdKeeper(const ChannelAllocator& allocator, KeeperConfig config)
-    : allocator_(allocator), config_(config), collector_(config.features),
+    : allocator_(allocator),
+      config_(config),
       window_end_(config.collect_window_ns) {}
 
 void SsdKeeper::attach(ssd::Ssd& device) {

@@ -70,7 +70,6 @@ struct KeeperConfig {
   /// next re-prediction.
   Duration watchdog_window_ns = 0;
   double rollback_p99_ratio = 1.25;
-  FeatureConfig features;
 };
 
 class SsdKeeper {

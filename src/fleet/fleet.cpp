@@ -217,8 +217,8 @@ void run_epoch_on_device(DeviceState& st,
     st.full_result = core::summarize_device_full(*st.device, e, "fleet");
   }
 
-  telemetry::RollupConfig rollup = config.rollup;
-  rollup.channels = st.device->options().geometry.channels;
+  const telemetry::RollupConfig rollup{
+      .channels = st.device->options().geometry.channels};
   const auto events = st.tracer->events();
   st.epoch_summaries.push_back(
       telemetry::summarize_rollup(telemetry::build_rollup(events, rollup)));

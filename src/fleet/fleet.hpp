@@ -75,9 +75,6 @@ struct FleetConfig {
   const core::ChannelAllocator* allocator = nullptr;
   core::KeeperConfig keeper;
   MigrationConfig migration;
-  /// Rolling-window rollup used for hot-device detection. `channels` is
-  /// overwritten from the device geometry.
-  telemetry::RollupConfig rollup;
   /// Fault injection on a device subset: every `faulty_device_stride`-th
   /// device (ids 0, s, 2s, ...) runs with `faults`; 0 disables. The subset
   /// is part of the configuration, so runs stay bit-reproducible.

@@ -1,7 +1,6 @@
 #include "nn/knn.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <map>
 #include <stdexcept>
 
@@ -19,7 +18,9 @@ void KnnClassifier::fit(const Dataset& train) {
 std::uint32_t KnnClassifier::predict_one(const double* row,
                                          std::size_t dim) const {
   if (!fitted()) throw std::logic_error("knn: predict before fit");
-  assert(dim == train_.feature_dim());
+  if (dim != train_.feature_dim()) {
+    throw std::invalid_argument("knn: feature dim mismatch");
+  }
 
   const std::size_t n = train_.size();
   const std::size_t k = std::min(k_, n);

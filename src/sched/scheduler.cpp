@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "util/check.hpp"
@@ -73,427 +74,252 @@ void SchedConfig::validate() const {
   }
 }
 
-namespace {
+Scheduler::Scheduler(const SchedConfig& config) : config_(config) {
+  config_.validate();
+}
 
-/// Shared admission-window and sequence bookkeeping; concrete policies
-/// supply the queues and the pick rule.
-class SchedulerBase : public Scheduler {
- public:
-  explicit SchedulerBase(const SchedConfig& config) : config_(config) {}
+void Scheduler::enqueue(std::uint64_t request_index, sim::TenantId tenant,
+                        std::uint32_t page_count, SimTime now) {
+  if (tenant >= lanes_.size()) lanes_.resize(std::size_t{tenant} + 1);
+  Lane& lane = lanes_[tenant];
+  Item item{.request_index = request_index,
+            .page_count = page_count,
+            .enqueued_at = now,
+            .seq = next_seq_++};
+  // WFQ (start-time fair queueing) tags, assigned at enqueue: a tenant's
+  // items form a chain of back-to-back virtual service intervals starting
+  // no earlier than the current virtual time. Computed under every
+  // policy — they are cheap, and one Item keeps one wire format.
+  item.start_tag = std::max(vtime_, lane.last_finish);
+  item.finish_tag =
+      item.start_tag +
+      static_cast<std::uint64_t>(page_count) * kWfqScale / weight(tenant);
+  lane.last_finish = item.finish_tag;
+  lane.q.push_back(item);
+  ++pending_;
+}
 
-  std::uint64_t outstanding() const override { return outstanding_; }
-  std::uint64_t decisions() const override { return decision_seq_; }
-
-  void on_complete(sim::TenantId /*tenant*/) override {
-    SSDK_CHECK_MSG(outstanding_ > 0,
-                   "sched: completion with no outstanding request");
-    --outstanding_;
-  }
-
- protected:
-  bool window_open() const {
-    return config_.max_outstanding_requests == 0 ||
-           outstanding_ < config_.max_outstanding_requests;
-  }
-  void grant(Grant& out, std::uint64_t request_index, sim::TenantId tenant,
-             SimTime enqueued_at) {
-    out.request_index = request_index;
-    out.tenant = tenant;
-    out.enqueued_at = enqueued_at;
-    out.decision_seq = decision_seq_++;
-    ++outstanding_;
-  }
-  void save_header(snapshot::StateWriter& w) const {
-    w.tag("SCHD");
-    w.u8(static_cast<std::uint8_t>(policy()));
-    w.u64(outstanding_);
-    w.u64(decision_seq_);
-    w.u64(next_seq_);
-  }
-  void load_header(snapshot::StateReader& r) {
-    r.tag("SCHD");
-    const auto p = static_cast<Policy>(r.u8());
-    if (p != policy()) {
-      throw snapshot::SnapshotError(
-          "snapshot: scheduler policy mismatch at offset " +
-              std::to_string(r.offset()) + ": device configured for " +
-              std::string(policy_name(policy())) + ", payload carries " +
-              std::string(policy_name(p)),
-          r.offset());
-    }
-    outstanding_ = r.u64();
-    decision_seq_ = r.u64();
-    next_seq_ = r.u64();
-  }
-
-  // ssdk-snap: skip(config_): construction-time configuration; travels with the snapshot in the OPTS section, not in SCHD
-  SchedConfig config_;
-  std::uint64_t outstanding_ = 0;
-  std::uint64_t decision_seq_ = 0;
-  std::uint64_t next_seq_ = 0;  ///< enqueue order (fair-policy tie-breaks)
-};
-
-/// Arrival-order admission. With the default unlimited window this is the
-/// schedule-neutral baseline: enqueue -> pick -> admit happens
-/// synchronously at the arrival instant, in arrival order.
-class FifoScheduler final : public SchedulerBase {
- public:
-  using SchedulerBase::SchedulerBase;
-
-  Policy policy() const override { return Policy::kFifo; }
-
-  void enqueue(std::uint64_t request_index, sim::TenantId tenant,
-               std::uint32_t /*page_count*/, SimTime now) override {
-    q_.push_back(Entry{request_index, now, tenant});
-    ++next_seq_;
-  }
-
-  bool pick(Grant& out) override {
-    if (!window_open() || q_.empty()) return false;
-    const Entry e = q_.front();
-    q_.pop_front();
-    grant(out, e.request_index, e.tenant, e.enqueued_at);
-    return true;
-  }
-
-  std::size_t pending() const override { return q_.size(); }
-
-  std::vector<std::uint64_t> pending_requests() const override {
-    std::vector<std::uint64_t> out;
-    out.reserve(q_.size());
-    for (const Entry& e : q_) out.push_back(e.request_index);
-    return out;
-  }
-
-  void clear() override {
-    q_.clear();
-    outstanding_ = 0;
-  }
-
-  std::unique_ptr<Scheduler> clone() const override {
-    return std::make_unique<FifoScheduler>(*this);
-  }
-
-  void save_state(snapshot::StateWriter& w) const override {
-    save_header(w);
-    w.u64(q_.size());
-    for (const Entry& e : q_) {
-      w.u64(e.request_index);
-      w.u64(e.enqueued_at);
-      w.u32(e.tenant);
-    }
-  }
-
-  void load_state(snapshot::StateReader& r) override {
-    load_header(r);
-    const std::uint64_t n = r.checked_count(8 + 8 + 4);
-    q_.clear();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Entry e;
-      e.request_index = r.u64();
-      e.enqueued_at = r.u64();
-      e.tenant = r.u32();
-      q_.push_back(e);
-    }
-  }
-
-  void check_invariants() const override {
-    if (config_.max_outstanding_requests > 0) {
-      SSDK_CHECK_MSG(outstanding_ <= config_.max_outstanding_requests,
-                     "sched: outstanding " + std::to_string(outstanding_) +
-                         " exceeds the admission window");
-    } else {
-      // An unlimited window admits synchronously, so at most the one
-      // request whose arrival hook is currently running may be pending
-      // (a fork taken inside the hook clones exactly that state; the
-      // clone's run loop admits it on entry).
-      SSDK_CHECK_MSG(q_.size() <= 1,
-                     "sched: fifo with an unlimited window holds " +
-                         std::to_string(q_.size()) +
-                         " pending requests outside a pump");
-    }
-  }
-
- private:
-  struct Entry {
-    std::uint64_t request_index = 0;
-    SimTime enqueued_at = 0;
-    sim::TenantId tenant = 0;
-  };
-  std::deque<Entry> q_;
-};
-
-/// Per-tenant FIFO queues with a weighted arbitration rule on top. One
-/// class covers WFQ, DRR and weighted share: the queues, the window and
-/// the serialization are identical, only next_head() differs.
-class FairScheduler final : public SchedulerBase {
- public:
-  FairScheduler(const SchedConfig& config, Policy policy)
-      : SchedulerBase(config), policy_(policy) {}
-
-  Policy policy() const override { return policy_; }
-
-  void enqueue(std::uint64_t request_index, sim::TenantId tenant,
-               std::uint32_t page_count, SimTime now) override {
-    TenantState& t = slot(tenant);
-    Item item;
-    item.request_index = request_index;
-    item.page_count = page_count;
-    item.enqueued_at = now;
-    item.seq = next_seq_++;
-    // WFQ (start-time fair queueing) tags, assigned at enqueue: a tenant's
-    // items form a chain of back-to-back virtual service intervals
-    // starting no earlier than the current virtual time. Computed for
-    // every policy — they are cheap, and keeping Item uniform keeps the
-    // wire format policy-independent.
-    item.start_tag = std::max(vtime_, t.last_finish);
-    item.finish_tag =
-        item.start_tag + static_cast<std::uint64_t>(page_count) * kWfqScale /
-                             config_.weight_of(tenant);
-    t.last_finish = item.finish_tag;
-    t.q.push_back(item);
-    ++pending_;
-  }
-
-  bool pick(Grant& out) override {
-    if (!window_open() || pending_ == 0) return false;
-    const auto it = next_head();
-    TenantState& t = it->second;
-    const Item item = t.q.front();
-    switch (policy_) {
-      case Policy::kWfq:
-        // The virtual clock follows the minimum start tag in service, so
-        // idle tenants re-enter at the current service level instead of
-        // claiming their whole idle period as credit.
-        vtime_ = std::max(vtime_, item.start_tag);
-        break;
-      case Policy::kDrr:
-        t.deficit -= item.page_count;  // next_head topped it up past cost
-        break;
-      case Policy::kWeightedShare:
-        t.served_pages += item.page_count;
-        break;
-      case Policy::kFifo:
-        break;  // unreachable: FifoScheduler handles kFifo
-    }
-    t.q.pop_front();
-    --pending_;
-    if (policy_ == Policy::kDrr) {
-      if (t.q.empty()) {
+bool Scheduler::pick(Grant& out) {
+  if (!window_open() || pending_ == 0) return false;
+  const std::size_t tenant = next_lane();
+  Lane& lane = lanes_[tenant];
+  const Item item = lane.q.front();
+  lane.q.pop_front();
+  --pending_;
+  switch (config_.policy) {
+    case Policy::kFifo:
+      break;
+    case Policy::kWfq:
+      // The virtual clock follows the minimum start tag in service, so
+      // idle tenants re-enter at the current service level instead of
+      // claiming their whole idle period as credit.
+      vtime_ = std::max(vtime_, item.start_tag);
+      break;
+    case Policy::kDrr:
+      lane.deficit -= item.page_count;  // next_lane topped it up past cost
+      if (lane.q.empty()) {
         // Classic DRR: an emptied queue forfeits its residual credit.
-        t.deficit = 0;
-        rr_cursor_ = it->first + 1;
+        lane.deficit = 0;
+        rr_cursor_ = static_cast<sim::TenantId>(tenant + 1);
       } else {
-        rr_cursor_ = it->first;  // keep serving while the credit lasts
+        rr_cursor_ = static_cast<sim::TenantId>(tenant);  // credit lasts
       }
-    }
-    grant(out, item.request_index, it->first, item.enqueued_at);
-    return true;
+      break;
+    case Policy::kWeightedShare:
+      lane.served_pages += item.page_count;
+      break;
   }
+  out = Grant{item.request_index, static_cast<sim::TenantId>(tenant),
+               item.enqueued_at, decision_seq_++};
+  ++outstanding_;
+  return true;
+}
 
-  std::size_t pending() const override { return pending_; }
+void Scheduler::on_complete(sim::TenantId /*tenant*/) {
+  SSDK_CHECK_MSG(outstanding_ > 0,
+                 "sched: completion with no outstanding request");
+  --outstanding_;
+}
 
-  std::vector<std::uint64_t> pending_requests() const override {
-    std::vector<std::uint64_t> out;
-    out.reserve(pending_);
-    for (const auto& [tenant, t] : tenants_) {
-      for (const Item& item : t.q) out.push_back(item.request_index);
-    }
-    return out;
-  }
-
-  void clear() override {
-    for (auto& [tenant, t] : tenants_) {
-      t.q.clear();
-      t.deficit = 0;
-    }
-    pending_ = 0;
-    outstanding_ = 0;
-  }
-
-  std::unique_ptr<Scheduler> clone() const override {
-    return std::make_unique<FairScheduler>(*this);
-  }
-
-  void save_state(snapshot::StateWriter& w) const override {
-    save_header(w);
-    w.u64(vtime_);
-    w.u32(rr_cursor_);
-    w.u64(tenants_.size());
-    for (const auto& [tenant, t] : tenants_) {
-      w.u32(tenant);
-      w.u64(t.last_finish);
-      w.u64(t.deficit);
-      w.u64(t.served_pages);
-      w.u64(t.q.size());
-      for (const Item& item : t.q) {
-        w.u64(item.request_index);
-        w.u64(item.enqueued_at);
-        w.u64(item.seq);
-        w.u64(item.start_tag);
-        w.u64(item.finish_tag);
-        w.u32(item.page_count);
-      }
+std::size_t Scheduler::next_lane() {
+  if (config_.policy == Policy::kDrr) {
+    // Visit the backlogged lanes round-robin from the cursor, topping each
+    // up until one can afford its head. Terminates: every full lap adds
+    // quantum * weight >= 1 page of credit to each backlogged lane.
+    while (true) {
+      std::size_t t = rr_cursor_ < lanes_.size() ? rr_cursor_ : 0;
+      while (lanes_[t].q.empty()) t = (t + 1) % lanes_.size();
+      Lane& lane = lanes_[t];
+      if (lane.deficit >= lane.q.front().page_count) return t;
+      lane.deficit += std::uint64_t{config_.drr_quantum_pages} * weight(t);
+      rr_cursor_ = static_cast<sim::TenantId>(t + 1);
     }
   }
-
-  void load_state(snapshot::StateReader& r) override {
-    load_header(r);
-    vtime_ = r.u64();
-    rr_cursor_ = r.u32();
-    tenants_.clear();
-    pending_ = 0;
-    const std::uint64_t ntenants = r.checked_count(4 + 3 * 8 + 8);
-    for (std::uint64_t i = 0; i < ntenants; ++i) {
-      const sim::TenantId tenant = r.u32();
-      TenantState& t = tenants_[tenant];
-      t.last_finish = r.u64();
-      t.deficit = r.u64();
-      t.served_pages = r.u64();
-      const std::uint64_t nitems = r.checked_count(5 * 8 + 4);
-      for (std::uint64_t j = 0; j < nitems; ++j) {
-        Item item;
-        item.request_index = r.u64();
-        item.enqueued_at = r.u64();
-        item.seq = r.u64();
-        item.start_tag = r.u64();
-        item.finish_tag = r.u64();
-        item.page_count = r.u32();
-        t.q.push_back(item);
-        ++pending_;
-      }
+  // The other rules are an argmin over the backlogged lanes; a tie keeps
+  // the lowest tenant id.
+  std::size_t best = lanes_.size();
+  for (std::size_t t = 0; t < lanes_.size(); ++t) {
+    if (!lanes_[t].q.empty() && (best == lanes_.size() || before(t, best))) {
+      best = t;
     }
   }
+  return best;
+}
 
-  void check_invariants() const override {
-    if (config_.max_outstanding_requests > 0) {
-      SSDK_CHECK_MSG(outstanding_ <= config_.max_outstanding_requests,
-                     "sched: outstanding " + std::to_string(outstanding_) +
-                         " exceeds the admission window");
-    }
-    std::size_t queued = 0;
-    for (const auto& [tenant, t] : tenants_) {
-      std::uint64_t prev_start = 0;
-      for (const Item& item : t.q) {
-        ++queued;
-        SSDK_CHECK_MSG(item.page_count > 0,
-                       "sched: tenant " + std::to_string(tenant) +
-                           " queues a zero-page request");
-        SSDK_CHECK_MSG(item.seq < next_seq_,
-                       "sched: queued item carries seq " +
-                           std::to_string(item.seq) + " >= next_seq");
-        SSDK_CHECK_MSG(item.start_tag >= prev_start &&
-                           item.finish_tag >= item.start_tag,
-                       "sched: tenant " + std::to_string(tenant) +
-                           " has non-monotone WFQ tags");
-        prev_start = item.start_tag;
-      }
-      SSDK_CHECK_MSG(t.q.empty() || t.last_finish >= t.q.back().finish_tag,
-                     "sched: tenant " + std::to_string(tenant) +
-                         " last_finish behind its queued tail");
-    }
-    SSDK_CHECK_MSG(queued == pending_,
-                   "sched: pending counter " + std::to_string(pending_) +
-                       " != queued items " + std::to_string(queued));
+bool Scheduler::before(std::size_t a, std::size_t b) const {
+  const Item& x = lanes_[a].q.front();
+  const Item& y = lanes_[b].q.front();
+  switch (config_.policy) {
+    case Policy::kWfq:
+      return std::tie(x.start_tag, x.seq) < std::tie(y.start_tag, y.seq);
+    case Policy::kWeightedShare:
+      // served_pages / weight, exact via cross-multiplication.
+      return lanes_[a].served_pages * weight(b) <
+             lanes_[b].served_pages * weight(a);
+    case Policy::kFifo:
+    case Policy::kDrr:
+      break;
   }
+  return x.seq < y.seq;
+}
 
- private:
-  struct Item {
-    std::uint64_t request_index = 0;
-    SimTime enqueued_at = 0;
-    std::uint64_t seq = 0;
-    std::uint64_t start_tag = 0;   ///< WFQ virtual start
-    std::uint64_t finish_tag = 0;  ///< WFQ virtual finish
-    std::uint32_t page_count = 0;
-  };
-  struct TenantState {
-    std::deque<Item> q;
-    std::uint64_t last_finish = 0;   ///< WFQ: tail of the tag chain
-    std::uint64_t deficit = 0;       ///< DRR credit, in pages
-    std::uint64_t served_pages = 0;  ///< weighted share accounting
-  };
-  using TenantMap = std::map<sim::TenantId, TenantState>;
-
-  TenantState& slot(sim::TenantId tenant) { return tenants_[tenant]; }
-
-  /// The backlogged tenant the policy serves next. Callers guarantee
-  /// pending_ > 0. For DRR this also tops up deficits round-robin until a
-  /// tenant can afford its head (guaranteed to terminate: every full lap
-  /// adds quantum * weight >= 1 page of credit).
-  TenantMap::iterator next_head() {
-    switch (policy_) {
-      case Policy::kWfq: {
-        auto best = tenants_.end();
-        for (auto it = tenants_.begin(); it != tenants_.end(); ++it) {
-          if (it->second.q.empty()) continue;
-          const Item& head = it->second.q.front();
-          if (best == tenants_.end() ||
-              head.start_tag < best->second.q.front().start_tag ||
-              (head.start_tag == best->second.q.front().start_tag &&
-               head.seq < best->second.q.front().seq)) {
-            best = it;
-          }
-        }
-        return best;
-      }
-      case Policy::kDrr: {
-        while (true) {
-          auto it = next_backlogged(rr_cursor_);
-          TenantState& t = it->second;
-          if (t.deficit >= t.q.front().page_count) return it;
-          t.deficit += static_cast<std::uint64_t>(config_.drr_quantum_pages) *
-                       config_.weight_of(it->first);
-          rr_cursor_ = it->first + 1;
-        }
-      }
-      case Policy::kWeightedShare: {
-        // argmin served_pages / weight, exact via cross-multiplication;
-        // map order makes the tie-break "lowest tenant id".
-        auto best = tenants_.end();
-        for (auto it = tenants_.begin(); it != tenants_.end(); ++it) {
-          if (it->second.q.empty()) continue;
-          if (best == tenants_.end() ||
-              it->second.served_pages * config_.weight_of(best->first) <
-                  best->second.served_pages * config_.weight_of(it->first)) {
-            best = it;
-          }
-        }
-        return best;
-      }
-      case Policy::kFifo:
-        break;
+std::vector<std::uint64_t> Scheduler::pending_requests() const {
+  std::vector<std::uint64_t> out;
+  out.reserve(pending_);
+  for (const Lane& lane : lanes_) {
+    for (std::size_t i = 0; i < lane.q.size(); ++i) {
+      out.push_back(lane.q.at(i).request_index);
     }
-    return tenants_.end();  // unreachable
   }
+  return out;
+}
 
-  /// First tenant with queued work at id >= `from`, wrapping around.
-  TenantMap::iterator next_backlogged(sim::TenantId from) {
-    for (auto it = tenants_.lower_bound(from); it != tenants_.end(); ++it) {
-      if (!it->second.q.empty()) return it;
-    }
-    for (auto it = tenants_.begin(); it != tenants_.end(); ++it) {
-      if (!it->second.q.empty()) return it;
-    }
-    return tenants_.end();  // unreachable while pending_ > 0
+void Scheduler::clear() {
+  for (Lane& lane : lanes_) {
+    lane.q.clear();
+    lane.deficit = 0;
   }
+  pending_ = 0;
+  outstanding_ = 0;
+}
 
-  // ssdk-snap: skip(policy_): fixed at construction; the SCHD section stores a policy tag and refuses to load under a different one
-  Policy policy_;
-  TenantMap tenants_;
-  // ssdk-snap: skip(pending_): derived count of queued requests, recomputed while the per-tenant queues load
-  std::size_t pending_ = 0;
-  std::uint64_t vtime_ = 0;        ///< WFQ virtual clock
-  sim::TenantId rr_cursor_ = 0;    ///< DRR: next tenant id to visit
-};
+void Scheduler::save_state(snapshot::StateWriter& w) const {
+  w.tag("SCHD");
+  w.u8(static_cast<std::uint8_t>(config_.policy));
+  w.u64(outstanding_);
+  w.u64(decision_seq_);
+  w.u64(next_seq_);
+  w.u64(vtime_);
+  w.u32(rr_cursor_);
+  w.u64(lanes_.size());
+  for (const Lane& lane : lanes_) {
+    w.u64(lane.last_finish);
+    w.u64(lane.deficit);
+    w.u64(lane.served_pages);
+    w.u64(lane.q.size());
+    for (std::size_t i = 0; i < lane.q.size(); ++i) {
+      const Item& item = lane.q.at(i);
+      w.u64(item.request_index);
+      w.u32(item.page_count);
+      w.u64(item.enqueued_at);
+      w.u64(item.seq);
+      w.u64(item.start_tag);
+      w.u64(item.finish_tag);
+    }
+  }
+}
 
-}  // namespace
+std::vector<std::pair<Scheduler::Item, std::uint64_t>> Scheduler::load_state(
+    snapshot::StateReader& r) {
+  r.tag("SCHD");
+  const auto p = static_cast<Policy>(r.u8());
+  if (p != config_.policy) {
+    throw snapshot::SnapshotError(
+        "snapshot: scheduler policy mismatch at offset " +
+            std::to_string(r.offset()) + ": device configured for " +
+            std::string(policy_name(config_.policy)) +
+            ", payload carries " + std::string(policy_name(p)),
+        r.offset());
+  }
+  outstanding_ = r.u64();
+  decision_seq_ = r.u64();
+  next_seq_ = r.u64();
+  vtime_ = r.u64();
+  rr_cursor_ = r.u32();
+  const std::uint64_t nlanes = r.checked_count(4 * 8);
+  lanes_.assign(nlanes, Lane{});
+  pending_ = 0;
+  std::vector<std::pair<Item, std::uint64_t>> loaded;
+  for (Lane& lane : lanes_) {
+    lane.last_finish = r.u64();
+    lane.deficit = r.u64();
+    lane.served_pages = r.u64();
+    const std::uint64_t nitems = r.checked_count(8 + 4 + 4 * 8);
+    lane.q.reserve(nitems);
+    for (std::uint64_t i = 0; i < nitems; ++i) {
+      const std::uint64_t at = r.offset();
+      Item item;
+      item.request_index = r.u64();
+      item.page_count = r.u32();
+      item.enqueued_at = r.u64();
+      item.seq = r.u64();
+      item.start_tag = r.u64();
+      item.finish_tag = r.u64();
+      lane.q.push_back(item);
+      loaded.emplace_back(item, at);
+    }
+    pending_ += nitems;
+  }
+  return loaded;
+}
+
+void Scheduler::check_invariants() const {
+  if (config_.max_outstanding_requests > 0) {
+    SSDK_CHECK_MSG(outstanding_ <= config_.max_outstanding_requests,
+                   "sched: outstanding " + std::to_string(outstanding_) +
+                       " exceeds the admission window");
+  } else if (config_.policy == Policy::kFifo) {
+    // An unlimited window admits synchronously, so at most the one
+    // request whose arrival hook is currently running may be pending (a
+    // fork taken inside the hook copies exactly that state; the copy's
+    // run loop admits it on entry).
+    SSDK_CHECK_MSG(pending_ <= 1,
+                   "sched: fifo with an unlimited window holds " +
+                       std::to_string(pending_) +
+                       " pending requests outside a pump");
+  }
+  std::size_t queued = 0;
+  for (std::size_t t = 0; t < lanes_.size(); ++t) {
+    const Lane& lane = lanes_[t];
+    std::uint64_t prev_start = 0;
+    for (std::size_t i = 0; i < lane.q.size(); ++i) {
+      const Item& item = lane.q.at(i);
+      ++queued;
+      SSDK_CHECK_MSG(item.page_count > 0,
+                     "sched: tenant " + std::to_string(t) +
+                         " queues a zero-page request");
+      SSDK_CHECK_MSG(item.seq < next_seq_,
+                     "sched: queued item carries seq " +
+                         std::to_string(item.seq) + " >= next_seq");
+      SSDK_CHECK_MSG(item.start_tag >= prev_start &&
+                         item.finish_tag >= item.start_tag,
+                     "sched: tenant " + std::to_string(t) +
+                         " has non-monotone WFQ tags");
+      prev_start = item.start_tag;
+    }
+    SSDK_CHECK_MSG(
+        lane.q.empty() || lane.last_finish >= lane.q.at(lane.q.size() - 1)
+                                                  .finish_tag,
+        "sched: tenant " + std::to_string(t) +
+            " last_finish behind its queued tail");
+  }
+  SSDK_CHECK_MSG(queued == pending_,
+                 "sched: pending counter " + std::to_string(pending_) +
+                     " != queued items " + std::to_string(queued));
+}
 
 std::unique_ptr<Scheduler> make_scheduler(const SchedConfig& config) {
-  config.validate();
-  if (config.policy == Policy::kFifo) {
-    return std::make_unique<FifoScheduler>(config);
-  }
-  return std::make_unique<FairScheduler>(config, config.policy);
+  return std::make_unique<Scheduler>(config);
 }
 
 }  // namespace ssdk::sched

@@ -1,4 +1,4 @@
-// Pluggable multi-tenant admission scheduling (ROADMAP open item 2).
+// Multi-tenant admission scheduling (DESIGN.md §17).
 //
 // The scheduler sits between the host request stream and channel dispatch:
 // every arrival is enqueued, and the device admits requests only when the
@@ -15,14 +15,14 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sim/request.hpp"
 #include "snapshot/archive.hpp"
+#include "util/ring_buffer.hpp"
 
 namespace ssdk::sched {
 
@@ -82,71 +82,101 @@ struct Grant {
   std::uint64_t decision_seq = 0;   ///< monotone pick counter (telemetry)
 };
 
-/// Admission-policy interface. The device enqueues every arrival, then
-/// drains pick() until it returns false (window closed or nothing
-/// pending); on_complete() reopens the window as requests finish.
+/// The admission scheduler: one FIFO lane per tenant, and a pick rule
+/// per policy that chooses which lane's head is admitted next. FIFO takes
+/// the head with the oldest enqueue seq, WFQ the smallest start tag, DRR
+/// tops up deficits round-robin, weighted share takes the smallest
+/// served/weight. With a handful of tenants a linear scan over the lanes
+/// is all any rule needs.
+///
+/// The device enqueues every arrival, then drains pick() until it returns
+/// false (window closed or nothing pending); on_complete() reopens the
+/// window as requests finish. A plain value: copying it (Ssd::fork)
+/// copies the queues.
 class Scheduler {
  public:
-  virtual ~Scheduler() = default;
+  /// One queued request. The SCHD record writes the fields in this order:
+  /// request index at +0, page count at +8.
+  struct Item {
+    std::uint64_t request_index = 0;
+    std::uint32_t page_count = 0;
+    SimTime enqueued_at = 0;
+    std::uint64_t seq = 0;         ///< enqueue order (FIFO, tie-breaks)
+    std::uint64_t start_tag = 0;   ///< WFQ virtual start
+    std::uint64_t finish_tag = 0;  ///< WFQ virtual finish
+  };
 
-  virtual Policy policy() const = 0;
-  virtual void enqueue(std::uint64_t request_index, sim::TenantId tenant,
-                       std::uint32_t page_count, SimTime now) = 0;
+  /// Throws std::invalid_argument on an invalid config (see validate()).
+  explicit Scheduler(const SchedConfig& config);
+
+  Policy policy() const { return config_.policy; }
+  /// Queue a request on its tenant's lane. `tenant` indexes the lane
+  /// vector, so it must be a small host tenant id.
+  void enqueue(std::uint64_t request_index, sim::TenantId tenant,
+               std::uint32_t page_count, SimTime now);
   /// Admit the next request under the policy; false when the admission
   /// window is closed or no request is pending.
-  virtual bool pick(Grant& out) = 0;
+  bool pick(Grant& out);
   /// One previously admitted request fully completed.
-  virtual void on_complete(sim::TenantId tenant) = 0;
+  void on_complete(sim::TenantId tenant);
 
   /// Requests enqueued but not yet admitted.
-  virtual std::size_t pending() const = 0;
+  std::size_t pending() const { return pending_; }
   /// Requests admitted but not yet completed.
-  virtual std::uint64_t outstanding() const = 0;
-  /// Request indices currently held in the queues (audit/power-loss
-  /// introspection; policy iteration order, deterministic).
-  virtual std::vector<std::uint64_t> pending_requests() const = 0;
+  std::uint64_t outstanding() const { return outstanding_; }
+  /// Request indices currently held in the lanes, in tenant order (audit
+  /// and power-loss introspection; deterministic).
+  std::vector<std::uint64_t> pending_requests() const;
   /// Total admissions granted so far (monotone; survives clear()).
-  virtual std::uint64_t decisions() const = 0;
+  std::uint64_t decisions() const { return decision_seq_; }
 
   /// Drop all queued work and outstanding accounting (power loss: queued
   /// requests vanish like every other volatile structure).
-  virtual void clear() = 0;
-  virtual std::unique_ptr<Scheduler> clone() const = 0;
+  void clear();
 
-  virtual void save_state(snapshot::StateWriter& w) const = 0;
-  virtual void load_state(snapshot::StateReader& r) = 0;
+  void save_state(snapshot::StateWriter& w) const;
+  /// Load a saved SCHD section. Returns each queued item with the payload
+  /// offset of its record, in lane order, so the owner can check the
+  /// request it names against state loaded earlier.
+  std::vector<std::pair<Item, std::uint64_t>> load_state(
+      snapshot::StateReader& r);
   /// Structural self-audit; throws util::InvariantViolation.
-  virtual void check_invariants() const = 0;
-};
-
-std::unique_ptr<Scheduler> make_scheduler(const SchedConfig& config);
-
-/// Copyable owner of a Scheduler. Copying clones the policy state, which
-/// keeps Ssd's memberwise copy constructor (fork()) defaulted — a raw
-/// unique_ptr member would delete it.
-class SchedulerHandle {
- public:
-  SchedulerHandle() = default;
-  explicit SchedulerHandle(std::unique_ptr<Scheduler> impl)
-      : impl_(std::move(impl)) {}
-  SchedulerHandle(const SchedulerHandle& other)
-      : impl_(other.impl_ ? other.impl_->clone() : nullptr) {}
-  SchedulerHandle& operator=(const SchedulerHandle& other) {
-    if (this != &other) impl_ = other.impl_ ? other.impl_->clone() : nullptr;
-    return *this;
-  }
-  SchedulerHandle(SchedulerHandle&&) noexcept = default;
-  SchedulerHandle& operator=(SchedulerHandle&&) noexcept = default;
-
-  Scheduler* operator->() { return impl_.get(); }
-  const Scheduler* operator->() const { return impl_.get(); }
-  Scheduler& operator*() { return *impl_; }
-  const Scheduler& operator*() const { return *impl_; }
-  explicit operator bool() const { return impl_ != nullptr; }
+  void check_invariants() const;
 
  private:
-  // ssdk-snap: skip(impl_): polymorphic owner handle; the concrete scheduler serializes itself through virtual save_state/load_state
-  std::unique_ptr<Scheduler> impl_;
+  struct Lane {
+    util::RingBuffer<Item> q;
+    std::uint64_t last_finish = 0;   ///< WFQ: tail of the tag chain
+    std::uint64_t deficit = 0;       ///< DRR credit, in pages
+    std::uint64_t served_pages = 0;  ///< weighted share accounting
+  };
+
+  bool window_open() const {
+    return config_.max_outstanding_requests == 0 ||
+           outstanding_ < config_.max_outstanding_requests;
+  }
+  std::uint64_t weight(std::size_t tenant) const {
+    return config_.weight_of(static_cast<sim::TenantId>(tenant));
+  }
+  /// The backlogged lane the policy serves next; callers guarantee
+  /// pending_ > 0.
+  std::size_t next_lane();
+  /// Whether backlogged lane `a` goes before lane `b` under the argmin
+  /// rules (FIFO, WFQ, weighted share).
+  bool before(std::size_t a, std::size_t b) const;
+
+  SchedConfig config_;
+  std::vector<Lane> lanes_;  ///< indexed by tenant id
+  // ssdk-snap: skip(pending_): derived count of queued requests, recomputed while the lanes load
+  std::size_t pending_ = 0;
+  std::uint64_t outstanding_ = 0;
+  std::uint64_t decision_seq_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t vtime_ = 0;      ///< WFQ virtual clock
+  sim::TenantId rr_cursor_ = 0;  ///< DRR: next tenant id to visit
 };
+
+/// A validated scheduler on the heap (benchmarks and tests).
+std::unique_ptr<Scheduler> make_scheduler(const SchedConfig& config);
 
 }  // namespace ssdk::sched

@@ -40,7 +40,8 @@
 namespace ssdk::sim {
 
 enum class EventKind : std::uint8_t {
-  kArrival,     ///< host request enters the device; a = request index
+  kArrival,     ///< a = request index; the device never schedules one
+                ///< (arrivals come from its request cursor)
   kFlashDone,   ///< plane finished its flash phase; a = plane, b = op id
   kBusFree,     ///< channel bus released; a = channel, b = op id or kNoOp
   kBufferDone,  ///< DRAM write-buffer latency elapsed; a = request index,

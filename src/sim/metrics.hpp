@@ -150,7 +150,6 @@ class MetricsCollector {
   /// latency samples (counters still accumulate) — a warmup window so
   /// steady-state measurements aren't diluted by the empty-device start.
   void set_warmup_ns(SimTime t) { warmup_ns_ = t; }
-  SimTime warmup_ns() const { return warmup_ns_; }
 
   /// Latency SLO target for `tenant` (microseconds, arrival to
   /// completion); measured completions slower than it bump the tenant's

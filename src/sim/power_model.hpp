@@ -50,8 +50,6 @@ struct PowerModel {
 
   static PowerModel none() { return PowerModel{}; }
 
-  bool enabled_model() const { return enabled; }
-
   /// True when a scheduled cut is armed (enabled + a trigger configured).
   bool cut_scheduled() const {
     return enabled &&

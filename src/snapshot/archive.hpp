@@ -233,7 +233,8 @@ inline constexpr char kSnapshotMagic[8] = {'S', 'S', 'D', 'K',
 // sections drop the derived queued-write count and front-write seq.
 // Version 4: BLKM stores opened blocks only, with owners for valid pages.
 // Version 5: L2PM stores 4-byte entries in whole 1024-entry spans.
-inline constexpr std::uint32_t kSnapshotVersion = 5;
+// Version 6: SCHD has one layout for every policy, a lane per tenant id.
+inline constexpr std::uint32_t kSnapshotVersion = 6;
 
 enum class PayloadKind : std::uint32_t {
   kDevice = 1,    ///< full SSD device state

@@ -133,13 +133,15 @@ core::GeneratedDataset generate_dataset_resumable(
     const std::uint64_t count =
         std::min<std::uint64_t>(batch, config.workloads - start);
     samples.resize(start + count);
-    // Same per-workload task shape as core::generate_dataset: the
-    // synthesized stream is a pure function of (seed, index), so a
-    // resumed batch picks up exactly where the checkpoint left off.
+    // Same per-workload task shape as core::generate_dataset, nested
+    // sweeps included: the synthesized stream is a pure function of
+    // (seed, index), so a resumed batch picks up exactly where the
+    // checkpoint left off, and a batch smaller than the pool still keeps
+    // every worker busy.
     parallel_for(pool, count, [&](std::size_t i) {
       const auto requests = core::synthesize_mix(config, start + i);
       samples[start + i] =
-          core::label_workload(requests, space, config.label, nullptr);
+          core::label_workload(requests, space, config.label, &pool);
     });
     if (!options.checkpoint_path.empty()) {
       save_campaign_file(options.checkpoint_path, config, samples);

@@ -34,12 +34,12 @@ Ssd::Ssd(SsdOptions options)
       channel_busy_ns_(options_.geometry.channels, 0),
       unit_busy_ns_(units_.size(), 0),
       gc_job_of_plane_(options_.geometry.total_planes(), kNoJob),
+      sched_(options_.sched),
       page_xfer_ns_(options_.timing.page_transfer_ns(options_.geometry)),
       fault_rng_(options_.faults.seed),
       faults_on_(options_.faults.enabled()) {
   options_.faults.validate();
   options_.power.validate();
-  sched_ = sched::SchedulerHandle(sched::make_scheduler(options_.sched));
   // SLO targets are construction-time config: they gate violation
   // counting only, never the schedule, and survive fork/restore because
   // both rebuild from the same options.
@@ -143,6 +143,10 @@ void Ssd::submit(const sim::IoRequest& request) {
   if (request.page_count == 0) {
     throw std::invalid_argument("ssd: request with zero pages");
   }
+  if (request.tenant == sim::kInternalTenant) {
+    // GC traffic's id; the scheduler's lanes are indexed by tenant id.
+    throw std::invalid_argument("ssd: request from the internal GC tenant");
+  }
   if (request.arrival < last_submitted_arrival_) {
     throw std::invalid_argument("ssd: arrivals must be non-decreasing");
   }
@@ -188,9 +192,7 @@ void Ssd::run_until_arrival(std::uint64_t request_index) {
       const sim::Event e = events_.pop();
       now_ = e.time;
       switch (e.kind) {
-        case EventKind::kArrival:
-          handle_arrival(e.a);
-          maybe_audit();
+        case EventKind::kArrival:  // refused at load, never scheduled
           break;
         case EventKind::kFlashDone:
           handle_flash_done(e.a, e.b);
@@ -216,11 +218,11 @@ void Ssd::run_until_arrival(std::uint64_t request_index) {
 void Ssd::handle_arrival(std::uint64_t request_index) {
   RequestState& rs = requests_[request_index];
   // Enqueue before the arrival hook: a fork() taken inside the hook (the
-  // keeper's what-if trials) must clone a scheduler that owns this
-  // request, or the clone would never service it. Admission still
+  // keeper's what-if trials) must copy a scheduler that owns this
+  // request, or the copy would never service it. Admission still
   // happens after the hook at the same instant, so a strategy switch
   // made by the hook governs this request's placement either way.
-  sched_->enqueue(request_index, rs.tenant, rs.page_count, now_);
+  sched_.enqueue(request_index, rs.tenant, rs.page_count, now_);
   if (arrival_hook_) arrival_hook_(rs.request());
   pump_scheduler();
 }
@@ -238,7 +240,7 @@ void Ssd::pump_scheduler() {
     ~Reset() { flag = false; }
   } reset{sched_pumping_};
   sched::Grant grant;
-  while (sched_->pick(grant)) {
+  while (sched_.pick(grant)) {
     if (tracer_ && now_ > grant.enqueued_at) {
       // Admission wait span. Zero-length waits are skipped (like
       // kQueueWait), which keeps the schedule-neutral FIFO default's
@@ -278,76 +280,25 @@ void Ssd::admit_request(std::uint64_t request_index) {
         maybe_compact_buffer_fifo();
       }
       ftl_.trim(rs.tenant, lpn);
-      if (--rs.remaining == 0) {
-        sim::Completion c;
-        c.request_id = rs.id;
-        c.tenant = rs.tenant;
-        c.type = sim::OpType::kTrim;
-        c.arrival = rs.arrival;
-        c.finish = now_;
-        metrics_.record(c);
-        if (tracer_) {
-          telemetry::TraceEvent e;
-          e.begin = rs.arrival;
-          e.end = now_;
-          e.kind = telemetry::SpanKind::kRequest;
-          e.op = telemetry::OpClass::kHostTrim;
-          e.tenant = rs.tenant;
-          e.request_id = rs.id;
-          tracer_->record(e);
-        }
-        if (completion_hook_) completion_hook_(c);
-        sched_->on_complete(rs.tenant);
-        pump_scheduler();
-      }
+      complete_request_page(request_index);
+    } else if (rs.type == sim::OpType::kRead && buffer_holds(rs.tenant, lpn)) {
+      // Read hit on a dirty buffered page: served from DRAM.
+      ++buffer_hits_;
+      serve_from_buffer(request_index, op_id, lpn);
     } else if (rs.type == sim::OpType::kRead) {
-      if (buffer_holds(rs.tenant, lpn)) {
-        // Read hit on a dirty buffered page: served from DRAM.
-        free_op(op_id);
-        ++buffer_hits_;
-        if (tracer_) {
-          telemetry::TraceEvent e;
-          e.begin = now_;
-          e.end = now_ + options_.write_buffer.dram_ns;
-          e.kind = telemetry::SpanKind::kBufferHit;
-          e.op = telemetry::OpClass::kHostRead;
-          e.tenant = rs.tenant;
-          e.request_id = rs.id;
-          e.detail = lpn;
-          tracer_->record(e);
-        }
-        events_.push(now_ + options_.write_buffer.dram_ns,
-                     EventKind::kBufferDone, request_index, 1);
-        continue;
-      }
       op.kind = OpKind::kHostRead;
       op.lpn = lpn;
       op.ppn = ftl_.translate_read(rs.tenant, lpn);
       op.addr = options_.geometry.decode(op.ppn);
       dispatch_read(op_id);
+    } else if (buffer_write(rs.tenant, lpn)) {
+      // Acked at DRAM latency without touching flash: the completion will
+      // be volatile, and a power cut before the eviction lands loses this
+      // page (counted per tenant at power_off).
+      ++tally_slot(request_index).volatile_pages;
+      serve_from_buffer(request_index, op_id, lpn);
+      maybe_flush_buffer();
     } else {
-      if (buffer_write(rs.tenant, lpn)) {
-        free_op(op_id);
-        // Acked at DRAM latency without touching flash: the completion
-        // will be volatile, and a power cut before the eviction lands
-        // loses this page (counted per tenant at power_off).
-        ++tally_slot(request_index).volatile_pages;
-        if (tracer_) {
-          telemetry::TraceEvent e;
-          e.begin = now_;
-          e.end = now_ + options_.write_buffer.dram_ns;
-          e.kind = telemetry::SpanKind::kBufferHit;
-          e.op = telemetry::OpClass::kHostWrite;
-          e.tenant = rs.tenant;
-          e.request_id = rs.id;
-          e.detail = lpn;
-          tracer_->record(e);
-        }
-        events_.push(now_ + options_.write_buffer.dram_ns,
-                     EventKind::kBufferDone, request_index, 1);
-        maybe_flush_buffer();
-        continue;
-      }
       op.kind = OpKind::kHostWrite;
       op.lpn = lpn;
       op.ppn = ftl_.allocate_write(rs.tenant, lpn, load_view_);
@@ -360,6 +311,26 @@ void Ssd::admit_request(std::uint64_t request_index) {
       maybe_start_gc(options_.geometry.plane_id(op.addr));
     }
   }
+}
+
+void Ssd::serve_from_buffer(std::uint64_t request_index, std::uint64_t op_id,
+                            std::uint64_t lpn) {
+  free_op(op_id);
+  const RequestState& rs = requests_[request_index];
+  const SimTime done = now_ + options_.write_buffer.dram_ns;
+  if (tracer_) {
+    telemetry::TraceEvent e;
+    e.begin = now_;
+    e.end = done;
+    e.kind = telemetry::SpanKind::kBufferHit;
+    e.op = rs.type == sim::OpType::kRead ? telemetry::OpClass::kHostRead
+                                         : telemetry::OpClass::kHostWrite;
+    e.tenant = rs.tenant;
+    e.request_id = rs.id;
+    e.detail = lpn;
+    tracer_->record(e);
+  }
+  events_.push(done, EventKind::kBufferDone, request_index, 1);
 }
 
 // --- write buffer ---------------------------------------------------------
@@ -1029,11 +1000,10 @@ void Ssd::complete_request_page(std::uint64_t request_index, bool failed) {
       e.begin = rs.arrival;
       e.end = now_;
       e.kind = telemetry::SpanKind::kRequest;
-      e.op = rs.type == sim::OpType::kRead
-                 ? telemetry::OpClass::kHostRead
-                 : rs.type == sim::OpType::kFlush
-                       ? telemetry::OpClass::kHostFlush
-                       : telemetry::OpClass::kHostWrite;
+      e.op = rs.type == sim::OpType::kRead    ? telemetry::OpClass::kHostRead
+             : rs.type == sim::OpType::kTrim  ? telemetry::OpClass::kHostTrim
+             : rs.type == sim::OpType::kFlush ? telemetry::OpClass::kHostFlush
+                                              : telemetry::OpClass::kHostWrite;
       e.tenant = rs.tenant;
       e.request_id = rs.id;
       e.detail = tallied.failed;
@@ -1043,7 +1013,7 @@ void Ssd::complete_request_page(std::uint64_t request_index, bool failed) {
     // The finished request leaves the admission window; grant whatever
     // the policy lines up next (no-op while this completion happened
     // inside an admission — the outer pump continues the drain).
-    sched_->on_complete(rs.tenant);
+    sched_.on_complete(rs.tenant);
     pump_scheduler();
   }
 }

@@ -173,7 +173,7 @@ class Ssd {
   const sim::MetricsCollector& metrics() const { return metrics_; }
 
   /// The admission scheduler configured at construction (options().sched).
-  const sched::Scheduler& scheduler() const { return *sched_; }
+  const sched::Scheduler& scheduler() const { return sched_; }
 
   // --- power loss + recovery (ssd_power.cpp) -------------------------------
 
@@ -473,6 +473,11 @@ class Ssd {
   /// Dispatch one granted request's page ops (the pre-scheduler
   /// handle_arrival body).
   void admit_request(std::uint64_t request_index);
+  /// Page `lpn` of a request served by the DRAM write buffer (a read hit
+  /// or an absorbed write): frees its op, records the kBufferHit span and
+  /// completes the page after the DRAM latency.
+  void serve_from_buffer(std::uint64_t request_index, std::uint64_t op_id,
+                         std::uint64_t lpn);
 
   // Event handlers.
   void handle_arrival(std::uint64_t request_index);
@@ -671,9 +676,9 @@ class Ssd {
   bool cut_fired_ = false;  ///< the scheduled cut fires at most once
   std::vector<std::uint64_t> media_lost_keys_;
 
-  // Admission scheduler (serialized in the SCHD section; the handle's
-  // copy constructor clones, so fork()'s memberwise copy stays defaulted).
-  sched::SchedulerHandle sched_;
+  // Admission scheduler (serialized in the SCHD section; a plain value,
+  // so fork()'s memberwise copy copies its lanes).
+  sched::Scheduler sched_;
   // ssdk-snap: skip(sched_pumping_): re-entrancy guard, always false at the event boundaries where snapshots are taken
   bool sched_pumping_ = false;  ///< re-entrancy guard for pump_scheduler
 

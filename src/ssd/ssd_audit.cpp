@@ -277,11 +277,11 @@ void Ssd::check_invariants() const {
   }
 
   // --- admission scheduler <-> request table -------------------------------
-  sched_->check_invariants();
-  std::vector<std::uint64_t> held = sched_->pending_requests();
-  SSDK_CHECK_MSG(held.size() == sched_->pending(),
+  sched_.check_invariants();
+  std::vector<std::uint64_t> held = sched_.pending_requests();
+  SSDK_CHECK_MSG(held.size() == sched_.pending(),
                  "ssd: scheduler pending count " +
-                     std::to_string(sched_->pending()) +
+                     std::to_string(sched_.pending()) +
                      " != enumerated held requests " +
                      std::to_string(held.size()));
   for (const std::uint64_t idx : held) {
@@ -316,15 +316,15 @@ void Ssd::check_invariants() const {
     for (std::uint64_t i = 0; i < arrival_cursor_; ++i) {
       if (requests_[i].remaining > 0) ++incomplete;
     }
-    SSDK_CHECK_MSG(incomplete == sched_->outstanding() + held.size(),
+    SSDK_CHECK_MSG(incomplete == sched_.outstanding() + held.size(),
                    "ssd: " + std::to_string(incomplete) +
                        " incomplete arrived requests != scheduler "
                        "outstanding " +
-                       std::to_string(sched_->outstanding()) + " + held " +
+                       std::to_string(sched_.outstanding()) + " + held " +
                        std::to_string(held.size()));
   }
   if (powered_off_) {
-    SSDK_CHECK_MSG(sched_->pending() == 0 && sched_->outstanding() == 0,
+    SSDK_CHECK_MSG(sched_.pending() == 0 && sched_.outstanding() == 0,
                    "ssd: powered-off device still holds scheduler state");
   }
 }

@@ -140,7 +140,7 @@ PowerLossReport Ssd::power_off() {
   // Requests still held by the admission scheduler vanish with the rest
   // of the volatile state (they are counted in interrupted_requests above
   // — arrived, never completed — like every admitted-but-unfinished one).
-  sched_->clear();
+  sched_.clear();
   powered_off_ = true;
   return report;
 }

@@ -207,7 +207,7 @@ void Ssd::save_state(snapshot::StateWriter& w) const {
   w.vec_u64(media_lost_keys_);
 
   // Admission scheduler (writes its own SCHD tag + policy byte).
-  sched_->save_state(w);
+  sched_.save_state(w);
 
   w.tag("DONE");
 }
@@ -285,7 +285,11 @@ void Ssd::load_state(snapshot::StateReader& r) {
   for (std::uint64_t i = 0; i < nreq; ++i) {
     RequestState& rs = requests_[i];
     rs.id = r.u64();
+    const std::uint64_t tenant_at = r.offset();
     rs.tenant = r.u32();
+    if (rs.tenant == sim::kInternalTenant) {
+      reject(tenant_at, item("request", i) + " names the internal GC tenant");
+    }
     const std::uint64_t type_at = r.offset();
     const std::uint8_t type = r.u8();
     if (type > static_cast<std::uint8_t>(sim::OpType::kFlush)) {
@@ -430,7 +434,7 @@ void Ssd::load_state(snapshot::StateReader& r) {
       require_in_use(q.at + 8 + 8 * k, "op queue", q.queue->at(k));
     }
   }
-  // Event records: a at +17, b at +25.
+  // Event records: kind at +16, a at +17, b at +25.
   for (std::size_t k = 0; k < events.size(); ++k) {
     const auto& [e, at] = events[k];
     const std::string who = item("event", k);
@@ -450,10 +454,14 @@ void Ssd::load_state(snapshot::StateReader& r) {
         require_below(channels_.size(), "channel");
         if (e.b != sim::kNoOp) require_in_use(at + 25, who, e.b);
         break;
-      case sim::EventKind::kArrival:
       case sim::EventKind::kBufferDone:
         require_below(nreq, "request");
         break;
+      case sim::EventKind::kArrival:
+        // Arrivals come from the request cursor; a queued one would admit
+        // its request a second time.
+        reject(at + 16, who + " is an arrival, which the device never "
+                              "schedules");
     }
   }
   // grant_seq_ is derived state, not wire format: rebuild it from each
@@ -544,7 +552,18 @@ void Ssd::load_state(snapshot::StateReader& r) {
   }
   media_lost_keys_ = r.vec_u64();
 
-  sched_->load_state(r);
+  // Admission indexes the request table with each queued request.
+  for (const auto& [queued, at] : sched_.load_state(r)) {
+    if (queued.request_index >= arrival_cursor_) {
+      reject(at, item("queued request", queued.request_index) +
+                     " is at or past the arrival cursor " +
+                     std::to_string(arrival_cursor_));
+    }
+    if (queued.page_count == 0) {
+      reject(at + 8, item("queued request", queued.request_index) +
+                         " has zero pages");
+    }
+  }
 
   r.tag("DONE");
 

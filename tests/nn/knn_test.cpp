@@ -23,6 +23,9 @@ TEST(Knn, RejectsBadInputs) {
   KnnClassifier knn(3);
   EXPECT_THROW(knn.fit(Dataset()), std::invalid_argument);
   EXPECT_THROW(knn.predict(Matrix(1, 2)), std::logic_error);
+  // Rows must have the fitted feature count, in every build type.
+  knn.fit(Dataset(Matrix{{0.0, 0.0}, {1.0, 1.0}}, {0, 1}));
+  EXPECT_THROW(knn.predict(Matrix(1, 3)), std::invalid_argument);
 }
 
 TEST(Knn, NearestNeighborExact) {

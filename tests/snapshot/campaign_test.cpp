@@ -90,6 +90,18 @@ TEST(Campaign, ResumeProducesIdenticalDataset) {
   // Batches of 2 starting from the 2 checkpointed workloads.
   EXPECT_EQ(progress, (std::vector<std::uint64_t>{4, 6}));
   std::filesystem::remove(path);
+
+  // One-workload batches on a larger pool: each batch's strategy sweep
+  // fans out over the idle workers, and the dataset stays the same.
+  ThreadPool wide(4);
+  options = CampaignOptions{};
+  options.checkpoint_path = path;
+  options.checkpoint_every = 1;
+  const auto batched =
+      generate_dataset_resumable(space, config, wide, options);
+  expect_same_samples(batched.samples, straight.samples);
+  EXPECT_EQ(batched.data.labels(), straight.data.labels());
+  std::filesystem::remove(path);
 }
 
 TEST(Campaign, FingerprintMismatchIsRefused) {

@@ -673,7 +673,11 @@ DeviceLayout parse_device(const std::vector<char>& payload) {
 // audit. Each mutation below loaded, and the device then dispatched on an
 // invalid enum, indexed units_, the request table, the job table or the
 // op slab out of bounds, or handed one slot out twice. Every field is now
-// checked before use, and the error names its byte offset.
+// checked before use, and the error names its byte offset. A request of
+// the internal GC tenant loaded too; the scheduler indexes its lanes by
+// tenant id, so admitting one would size the lane vector at 2^32. So did
+// a SCHD item naming an unarrived request (request 10^9 made admission
+// read past the request table) or zero pages.
 TEST(DeviceSnapshot, RejectsResealedDeviceMutations) {
   // GC churn at its midpoint: in-flight host and GC ops, queued ops, free
   // op slots and active GC jobs.
@@ -703,6 +707,10 @@ TEST(DeviceSnapshot, RejectsResealedDeviceMutations) {
   // --- REQS: request 0.
   const std::size_t req = layout.request(0);
   const std::uint32_t pages = read_u32_at(payload, req + 21);
+  expect_rejected(
+      payload,
+      [&](auto& b) { write_u32_at(b, req + 8, sim::kInternalTenant); },
+      "internal GC tenant", req + 8);
   expect_rejected(
       payload, [&](auto& b) { b[req + 12] = 4; }, "not an OpType", req + 12);
   expect_rejected(
@@ -828,6 +836,43 @@ TEST(DeviceSnapshot, RejectsResealedDeviceMutations) {
         "flush barrier 0 names request", at);
   }
   EXPECT_TRUE(barrier_seen) << "no pause point holds a live flush barrier";
+
+  // --- SCHD: WFQ with a two-request window, stopped mid-backlog.
+  ssd::SsdOptions fair;
+  fair.sched.policy = sched::Policy::kWfq;
+  fair.sched.max_outstanding_requests = 2;
+  std::vector<sim::IoRequest> backlog;
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    sim::IoRequest r;
+    r.id = i;
+    r.tenant = static_cast<sim::TenantId>(i % 2);
+    r.type = sim::OpType::kWrite;
+    r.lpn = 4 * i;
+    r.page_count = 4;
+    r.arrival = i * kMicrosecond;
+    backlog.push_back(r);
+  }
+  ssd::Ssd queued(fair);
+  queued.submit(backlog);
+  queued.run_until_arrival(100);
+  ASSERT_GT(queued.scheduler().pending(), 0u);
+  ASSERT_NO_THROW(snapshot::load_device(snapshot::save_device(queued)));
+  const std::vector<char> sched_bytes = payload_of(queued);
+  // u8 policy, u64 outstanding, decisions, next seq and vtime, u32 DRR
+  // cursor, u64 lane count; then per lane three u64 credit fields, a u64
+  // item count and 44-byte items (u64 request index, u32 page count, ...).
+  const std::size_t pwrs = parse_device(sched_bytes).barriers_at;
+  std::size_t lane =
+      find_tag_from(sched_bytes, "SCHD", pwrs) + 4 + 1 + 4 * 8 + 4 + 8;
+  while (read_u64_at(sched_bytes, lane + 24) == 0) lane += 32;
+  const std::size_t item = lane + 32;
+  expect_rejected(
+      sched_bytes,
+      [&](auto& b) { write_u64_at(b, item, 1'000'000'000); },
+      "at or past the arrival cursor", item);
+  expect_rejected(
+      sched_bytes, [&](auto& b) { write_u32_at(b, item + 8, 0); },
+      "zero pages", item + 8);
 }
 
 // Regression: the EVTQ loader took every pending event as given, and the
@@ -890,14 +935,16 @@ TEST(DeviceSnapshot, RejectsResealedEventAndOptionMutations) {
     expect_rejected(
         payload, [&](auto& b) { b[first + 16] = 9; }, "not an EventKind",
         first + 16);
-    // An arrival event names a request index.
+    // Arrivals come from the request cursor, so the device never
+    // schedules an arrival event: one naming an admitted request would
+    // admit it a second time.
     expect_rejected(
         payload,
         [&](auto& b) {
           b[first + 16] = static_cast<char>(sim::EventKind::kArrival);
-          write_u64_at(b, first + 17, layout.requests);
+          write_u64_at(b, first + 17, 0);
         },
-        "names request", first + 17);
+        "is an arrival", first + 16);
 
     // Payloads of the first event of each kind.
     const std::uint64_t free_id =
@@ -935,11 +982,13 @@ TEST(DeviceSnapshot, RejectsResealedEventAndOptionMutations) {
           }
           break;
         case sim::EventKind::kBufferDone:
-        case sim::EventKind::kArrival:
           expect_rejected(
               payload,
               [&](auto& b) { write_u64_at(b, at + 17, layout.requests); },
               "names request", at + 17);
+          break;
+        case sim::EventKind::kArrival:
+          ADD_FAILURE() << "the device scheduled an arrival event";
           break;
       }
     }
@@ -991,15 +1040,19 @@ TEST(DeviceSnapshot, L2pmStoresFourBytesPerEntry) {
 
 TEST(DeviceSnapshot, RefusesVersion4Container) {
   const ssd::Ssd device{ssd::SsdOptions{}};
-  std::vector<char> bytes = snapshot::save_device(device);
-  ASSERT_EQ(read_u32_at(bytes, 8), 5u);  // version follows the magic
-  write_u32_at(bytes, 8, 4);
-  try {
-    snapshot::load_device(bytes);
-    ADD_FAILURE() << "accepted a version 4 container";
-  } catch (const snapshot::SnapshotError& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
-        << e.what();
+  const std::vector<char> saved = snapshot::save_device(device);
+  ASSERT_EQ(read_u32_at(saved, 8), 6u);  // version follows the magic
+  // Version 5 carried the per-policy SCHD layouts.
+  for (const std::uint32_t version : {4u, 5u}) {
+    std::vector<char> bytes = saved;
+    write_u32_at(bytes, 8, version);
+    try {
+      snapshot::load_device(bytes);
+      ADD_FAILURE() << "accepted a version " << version << " container";
+    } catch (const snapshot::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -94,6 +94,14 @@ TEST(SsdBasic, RejectsZeroPageRequest) {
                std::invalid_argument);
 }
 
+TEST(SsdBasic, RejectsInternalTenantRequest) {
+  // kInternalTenant is GC traffic's id; host requests never carry it.
+  Ssd ssd;
+  EXPECT_THROW(ssd.submit(make_req(0, sim::kInternalTenant,
+                                   sim::OpType::kRead, 0, 1, 0)),
+               std::invalid_argument);
+}
+
 TEST(SsdBasic, RejectsDecreasingArrivals) {
   Ssd ssd;
   ssd.submit(make_req(0, 0, sim::OpType::kRead, 0, 1, 100));

@@ -15,7 +15,7 @@ A *serializer* is either
 
   - a member function pair ``save_*`` / ``load_*`` on a class, taking a
     ``snapshot::StateWriter&`` / ``StateReader&`` (e.g. ``Ssd::save_state``,
-    ``SchedulerBase::save_header``), or
+    ``Scheduler::save_state``), or
   - a free function pair ``save_X(StateWriter&, const T&)`` /
     ``load_X(StateReader&, T&)`` whose subject is the non-archive
     parameter's type (e.g. ``save_options`` over ``SsdOptions``).
