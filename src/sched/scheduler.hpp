@@ -109,7 +109,6 @@ class Scheduler {
   /// Throws std::invalid_argument on an invalid config (see validate()).
   explicit Scheduler(const SchedConfig& config);
 
-  Policy policy() const { return config_.policy; }
   /// Queue a request on its tenant's lane. `tenant` indexes the lane
   /// vector, so it must be a small host tenant id.
   void enqueue(std::uint64_t request_index, sim::TenantId tenant,

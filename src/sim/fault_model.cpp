@@ -1,6 +1,7 @@
 #include "sim/fault_model.hpp"
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -8,7 +9,7 @@ namespace ssdk::sim {
 
 void FaultModel::validate() const {
   const auto check_prob = [](double p, const char* name, double max) {
-    if (p < 0.0 || p > max) {
+    if (!(p >= 0.0 && p <= max)) {  // NaN fails too
       throw std::invalid_argument(std::string("fault_model: ") + name +
                                   " out of range");
     }
@@ -19,6 +20,11 @@ void FaultModel::validate() const {
   check_prob(program_fail, "program_fail",
              std::nextafter(1.0, 0.0));
   check_prob(erase_fail, "erase_fail", std::nextafter(1.0, 0.0));
+  // A page op counts its retries in 16 bits.
+  if (max_read_retries > std::numeric_limits<std::uint16_t>::max()) {
+    throw std::invalid_argument(
+        "fault_model: max_read_retries must be <= 65535");
+  }
   if (enabled() && program_fails_to_retire == 0) {
     throw std::invalid_argument(
         "fault_model: program_fails_to_retire must be >= 1");

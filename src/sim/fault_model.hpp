@@ -39,7 +39,7 @@ struct FaultModel {
   /// Probability an erase operation fails.
   double erase_fail = 0.0;
 
-  /// Read retries before a page is declared uncorrectable.
+  /// Read retries before a page is declared uncorrectable (at most 65535).
   std::uint32_t max_read_retries = 3;
   /// Program failures that retire a block (valid pages are rescued).
   std::uint32_t program_fails_to_retire = 2;
@@ -68,10 +68,12 @@ struct FaultModel {
         1.0);
   }
 
-  /// Throws std::invalid_argument on out-of-range fields. program_fail and
-  /// erase_fail must stay below 1: a certain failure would make every
-  /// write/erase retry forever (reads are bounded by max_read_retries, so
-  /// read_ber = 1 is legal and useful in tests).
+  /// Throws std::invalid_argument on out-of-range fields: a probability
+  /// outside [0, 1] or NaN, max_read_retries above 65535, and (when
+  /// enabled) a zero retirement threshold. program_fail and erase_fail
+  /// must stay below 1: a certain failure would make every write/erase
+  /// retry forever (reads are bounded by max_read_retries, so read_ber = 1
+  /// is legal and useful in tests).
   void validate() const;
 
   std::string describe() const;

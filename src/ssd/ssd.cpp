@@ -64,15 +64,25 @@ void Ssd::reserve(std::size_t request_count) {
 
 // --- op slab ----------------------------------------------------------------
 
-std::uint64_t Ssd::alloc_op() {
-  std::uint64_t id;
+Ssd::OpId Ssd::alloc_op() {
+  OpId id;
   if (!free_ops_.empty()) {
     id = free_ops_.back();
     free_ops_.pop_back();
     ops_[id] = PageOp{};
   } else {
-    id = ops_.size();
+    if (ops_.size() >= kMaxOps) {
+      throw std::length_error("ssd: op slab holds 2^32 - 1 ops already");
+    }
+    id = static_cast<OpId>(ops_.size());
     ops_.emplace_back();
+  }
+  if (ftl_.oob().enabled()) {
+    if (id == op_oob_seqs_.size()) {
+      op_oob_seqs_.push_back(0);
+    } else {
+      op_oob_seqs_[id] = 0;
+    }
   }
   PageOp& op = ops_[id];
   op.in_use = true;
@@ -80,7 +90,7 @@ std::uint64_t Ssd::alloc_op() {
   return id;
 }
 
-void Ssd::free_op(std::uint64_t id) {
+void Ssd::free_op(OpId id) {
   assert(ops_[id].in_use);
   ops_[id].in_use = false;
   free_ops_.push_back(id);
@@ -101,29 +111,30 @@ telemetry::OpClass Ssd::op_class(const PageOp& op) const {
 }
 
 std::uint64_t Ssd::host_request_id(const PageOp& op) const {
-  return op.request == kNoRequest ? telemetry::kNoRequestId
-                                  : requests_[op.request].id;
+  return op.request == kNoRequest32 ? telemetry::kNoRequestId
+                                    : requests_[op.request].id;
 }
 
 void Ssd::trace_op_span(telemetry::SpanKind kind, SimTime begin, SimTime end,
-                        const PageOp& op, std::uint64_t detail) {
+                        const PageOp& op, std::uint64_t unit,
+                        std::uint64_t detail) {
   telemetry::TraceEvent e;
   e.begin = begin;
   e.end = end;
   e.kind = kind;
   e.op = op_class(op);
   e.tenant = op.tenant;
-  e.channel = op.addr.channel;
-  e.unit = static_cast<std::uint32_t>(unit_of(op.addr));
+  e.channel = channel_of_unit(unit);
+  e.unit = static_cast<std::uint32_t>(unit);
   e.request_id = host_request_id(op);
   e.detail = detail;
   tracer_->record(e);
 }
 
-void Ssd::trace_wait(const PageOp& op) {
+void Ssd::trace_wait(const PageOp& op, std::uint64_t unit) {
   if (now_ > op.dispatched_at) {
     trace_op_span(telemetry::SpanKind::kQueueWait, op.dispatched_at, now_,
-                  op);
+                  op, unit);
   }
 }
 
@@ -140,6 +151,10 @@ void Ssd::submit(std::span<const sim::IoRequest> requests) {
 }
 
 void Ssd::submit(const sim::IoRequest& request) {
+  if (requests_.size() >= kNoRequest32) {
+    // Page ops name their request in 32 bits, kNoRequest32 meaning none.
+    throw std::length_error("ssd: request table holds 2^32 - 1 requests");
+  }
   if (request.page_count == 0) {
     throw std::invalid_argument("ssd: request with zero pages");
   }
@@ -195,7 +210,7 @@ void Ssd::run_until_arrival(std::uint64_t request_index) {
         case EventKind::kArrival:  // refused at load, never scheduled
           break;
         case EventKind::kFlashDone:
-          handle_flash_done(e.a, e.b);
+          handle_flash_done(e.a, static_cast<OpId>(e.b));
           break;
         case EventKind::kBusFree:
           handle_bus_free(static_cast<std::uint32_t>(e.a), e.b);
@@ -206,7 +221,7 @@ void Ssd::run_until_arrival(std::uint64_t request_index) {
         case EventKind::kWriteDone:
           // Exactly the old BusFree(kNoOp)-then-FlashDone pair, back to
           // back; see grant_write.
-          handle_write_done(e.a, e.b);
+          handle_write_done(e.a, static_cast<OpId>(e.b));
           break;
       }
     }
@@ -267,9 +282,9 @@ void Ssd::admit_request(std::uint64_t request_index) {
   }
   for (std::uint32_t i = 0; i < rs.page_count; ++i) {
     const std::uint64_t lpn = rs.lpn + i;
-    const std::uint64_t op_id = alloc_op();
+    const OpId op_id = alloc_op();
     PageOp& op = ops_[op_id];
-    op.request = request_index;
+    op.request = static_cast<std::uint32_t>(request_index);
     op.tenant = rs.tenant;
     if (rs.type == sim::OpType::kTrim) {
       // Metadata-only: no flash op, completes instantly. A dirty buffered
@@ -288,8 +303,7 @@ void Ssd::admit_request(std::uint64_t request_index) {
     } else if (rs.type == sim::OpType::kRead) {
       op.kind = OpKind::kHostRead;
       op.lpn = lpn;
-      op.ppn = ftl_.translate_read(rs.tenant, lpn);
-      op.addr = options_.geometry.decode(op.ppn);
+      op.ppn = static_cast<sim::Ppn32>(ftl_.translate_read(rs.tenant, lpn));
       dispatch_read(op_id);
     } else if (buffer_write(rs.tenant, lpn)) {
       // Acked at DRAM latency without touching flash: the completion will
@@ -301,19 +315,19 @@ void Ssd::admit_request(std::uint64_t request_index) {
     } else {
       op.kind = OpKind::kHostWrite;
       op.lpn = lpn;
-      op.ppn = ftl_.allocate_write(rs.tenant, lpn, load_view_);
-      op.addr = options_.geometry.decode(op.ppn);
+      op.ppn = static_cast<sim::Ppn32>(
+          ftl_.allocate_write(rs.tenant, lpn, load_view_));
       // The OOB seq is drawn in L2P-update order (here, at placement) but
       // recorded on flash only when the program completes — the window in
       // between is exactly what a power cut tears.
-      if (ftl_.oob().enabled()) op.oob_seq = ftl_.oob().fresh_seq();
+      if (ftl_.oob().enabled()) op_oob_seqs_[op_id] = ftl_.oob().fresh_seq();
       dispatch_write(op_id);
-      maybe_start_gc(options_.geometry.plane_id(op.addr));
+      maybe_start_gc(plane_of(op));
     }
   }
 }
 
-void Ssd::serve_from_buffer(std::uint64_t request_index, std::uint64_t op_id,
+void Ssd::serve_from_buffer(std::uint64_t request_index, OpId op_id,
                             std::uint64_t lpn) {
   free_op(op_id);
   const RequestState& rs = requests_[request_index];
@@ -405,16 +419,16 @@ void Ssd::maybe_flush_buffer() {
 }
 
 void Ssd::flush_one(sim::TenantId tenant, std::uint64_t lpn) {
-  const std::uint64_t op_id = alloc_op();
+  const OpId op_id = alloc_op();
   PageOp& op = ops_[op_id];
   op.kind = OpKind::kFlushWrite;
   op.tenant = tenant;
   op.lpn = lpn;
-  op.ppn = ftl_.allocate_write(tenant, lpn, load_view_);
-  op.addr = options_.geometry.decode(op.ppn);
-  if (ftl_.oob().enabled()) op.oob_seq = ftl_.oob().fresh_seq();
+  op.ppn =
+      static_cast<sim::Ppn32>(ftl_.allocate_write(tenant, lpn, load_view_));
+  if (ftl_.oob().enabled()) op_oob_seqs_[op_id] = ftl_.oob().fresh_seq();
   dispatch_write(op_id);
-  maybe_start_gc(options_.geometry.plane_id(op.addr));
+  maybe_start_gc(plane_of(op));
 }
 
 void Ssd::flush_write_buffer() {
@@ -475,10 +489,10 @@ void Ssd::handle_buffer_done(std::uint64_t request_index,
   }
 }
 
-void Ssd::dispatch_read(std::uint64_t op_id) {
+void Ssd::dispatch_read(OpId op_id) {
   PageOp& op = ops_[op_id];
   op.dispatched_at = now_;
-  const std::uint64_t unit = unit_of(op.addr);
+  const std::uint64_t unit = unit_of(op);
   ++metrics_.counters().page_ops;
   if (!units_[unit].busy) {
     start_array_read(unit, op_id);
@@ -488,23 +502,23 @@ void Ssd::dispatch_read(std::uint64_t op_id) {
   }
 }
 
-void Ssd::dispatch_write(std::uint64_t op_id) {
+void Ssd::dispatch_write(OpId op_id) {
   PageOp& op = ops_[op_id];
   op.dispatched_at = now_;
-  const std::uint64_t unit = unit_of(op.addr);
+  const sim::PhysAddr addr = addr_of(op);
+  const std::uint64_t unit = unit_of(addr);
   ++metrics_.counters().page_ops;
-  if (channels_[op.addr.channel].bus_busy || units_[unit].busy) {
+  if (channels_[addr.channel].bus_busy || units_[unit].busy) {
     metrics_.count_conflict();
   }
   UnitState& u = units_[unit];
   u.write_q.push_back(op_id);
   if (u.write_q.size() == 1 && !u.busy) grant_seq_[unit] = op.enq_seq;
-  arbitrate(op.addr.channel);
+  arbitrate(addr.channel);
 }
 
-void Ssd::dispatch_erase(std::uint64_t op_id) {
-  PageOp& op = ops_[op_id];
-  const std::uint64_t unit = unit_of(op.addr);
+void Ssd::dispatch_erase(OpId op_id) {
+  const std::uint64_t unit = unit_of(ops_[op_id]);
   ++metrics_.counters().page_ops;
   if (!units_[unit].busy) {
     start_erase(unit, op_id);
@@ -514,13 +528,13 @@ void Ssd::dispatch_erase(std::uint64_t op_id) {
   }
 }
 
-void Ssd::start_array_read(std::uint64_t unit, std::uint64_t op_id) {
+void Ssd::start_array_read(std::uint64_t unit, OpId op_id) {
   metrics_.counters().read_wait_ns += now_ - ops_[op_id].dispatched_at;
   ++metrics_.counters().read_ops_started;
   if (tracer_) {
-    trace_wait(ops_[op_id]);
+    trace_wait(ops_[op_id], unit);
     trace_op_span(telemetry::SpanKind::kFlashRead, now_,
-                  now_ + options_.timing.read_ns, ops_[op_id]);
+                  now_ + options_.timing.read_ns, ops_[op_id], unit);
   }
   UnitState& u = units_[unit];
   assert(!u.busy);
@@ -532,11 +546,11 @@ void Ssd::start_array_read(std::uint64_t unit, std::uint64_t op_id) {
   events_.push(u.busy_until, EventKind::kFlashDone, unit, op_id);
 }
 
-void Ssd::start_erase(std::uint64_t unit, std::uint64_t op_id) {
+void Ssd::start_erase(std::uint64_t unit, OpId op_id) {
   if (tracer_) {
     trace_op_span(telemetry::SpanKind::kFlashErase, now_,
-                  now_ + options_.timing.erase_ns, ops_[op_id],
-                  ops_[op_id].addr.block);
+                  now_ + options_.timing.erase_ns, ops_[op_id], unit,
+                  addr_of(ops_[op_id]).block);
   }
   UnitState& u = units_[unit];
   assert(!u.busy);
@@ -552,13 +566,13 @@ bool Ssd::unit_next(std::uint64_t unit) {
   UnitState& u = units_[unit];
   if (u.busy) return false;
   if (!u.read_wait.empty()) {
-    const std::uint64_t op_id = u.read_wait.front();
+    const OpId op_id = u.read_wait.front();
     u.read_wait.pop_front();
     start_array_read(unit, op_id);
     return false;
   }
   if (!u.erase_wait.empty()) {
-    const std::uint64_t op_id = u.erase_wait.front();
+    const OpId op_id = u.erase_wait.front();
     u.erase_wait.pop_front();
     start_erase(unit, op_id);
     return false;
@@ -598,18 +612,18 @@ void Ssd::arbitrate(std::uint32_t channel) {
 void Ssd::grant_read_transfer(std::uint32_t channel) {
   ChannelState& ch = channels_[channel];
   assert(!ch.bus_busy && !ch.read_q.empty());
-  const std::uint64_t op_id = ch.read_q.front();
+  const OpId op_id = ch.read_q.front();
   ch.read_q.pop_front();
+  // The unit is held while its page register is shifted out.
+  const std::uint64_t held_unit = unit_of(ops_[op_id]);
   if (tracer_) {
     trace_op_span(telemetry::SpanKind::kBusTransfer, now_,
-                  now_ + page_xfer_ns_, ops_[op_id]);
+                  now_ + page_xfer_ns_, ops_[op_id], held_unit);
   }
   ch.bus_busy = true;
   ch.bus_free_at = now_ + page_xfer_ns_;
   metrics_.counters().bus_busy_ns += page_xfer_ns_;
   channel_busy_ns_[channel] += page_xfer_ns_;
-  // The unit is held while its page register is shifted out.
-  const std::uint64_t held_unit = unit_of(ops_[op_id].addr);
   UnitState& u = units_[held_unit];
   assert(u.busy);
   u.busy_until = ch.bus_free_at;
@@ -639,7 +653,7 @@ void Ssd::grant_write(std::uint32_t channel, std::uint64_t unit) {
   ChannelState& ch = channels_[channel];
   assert(!ch.bus_busy);
   UnitState& u = units_[unit];
-  const std::uint64_t op_id = u.write_q.front();
+  const OpId op_id = u.write_q.front();
   u.write_q.pop_front();
   grant_seq_[unit] = kNoGrant;  // the unit goes busy below
   metrics_.counters().write_wait_ns += now_ - ops_[op_id].dispatched_at;
@@ -651,11 +665,11 @@ void Ssd::grant_write(std::uint32_t channel, std::uint64_t unit) {
   const Duration bus_hold =
       options_.pipelined_writes ? page_xfer_ns_ : service;
   if (tracer_) {
-    trace_wait(ops_[op_id]);
+    trace_wait(ops_[op_id], unit);
     trace_op_span(telemetry::SpanKind::kBusTransfer, now_, now_ + bus_hold,
-                  ops_[op_id]);
+                  ops_[op_id], unit);
     trace_op_span(telemetry::SpanKind::kFlashProgram, now_, now_ + service,
-                  ops_[op_id]);
+                  ops_[op_id], unit);
   }
   ch.bus_busy = true;
   ch.bus_free_at = now_ + bus_hold;
@@ -682,23 +696,25 @@ void Ssd::grant_write(std::uint32_t channel, std::uint64_t unit) {
 
 // --- event handlers -------------------------------------------------------------
 
-void Ssd::handle_write_done(std::uint64_t unit, std::uint64_t op_id) {
+void Ssd::handle_write_done(std::uint64_t unit, OpId op_id) {
   const std::uint32_t channel = channel_of_unit(unit);
   channels_[channel].bus_busy = false;
   arbitrate(channel);
   handle_flash_done(unit, op_id);
 }
 
-void Ssd::handle_flash_done(std::uint64_t unit, std::uint64_t op_id) {
+void Ssd::handle_flash_done(std::uint64_t unit, OpId op_id) {
   PageOp& op = ops_[op_id];
   switch (op.kind) {
     case OpKind::kHostRead:
-    case OpKind::kGcRead:
+    case OpKind::kGcRead: {
       // Array read (or retry re-sense) done; data sits in the page
       // register. The unit stays held until the bus moves the data out.
-      channels_[op.addr.channel].read_q.push_back(op_id);
-      arbitrate(op.addr.channel);
+      const std::uint32_t channel = channel_of_unit(unit);
+      channels_[channel].read_q.push_back(op_id);
+      arbitrate(channel);
       break;
+    }
     case OpKind::kHostWrite:
     case OpKind::kFlushWrite:
     case OpKind::kGcWrite: {
@@ -711,13 +727,12 @@ void Ssd::handle_flash_done(std::uint64_t unit, std::uint64_t op_id) {
         // A successful program into a block that was retired while this
         // write was in flight must not leave data behind either.
         fault = program_failed ||
-                ftl_.blocks().block_state(
-                    options_.geometry.plane_id(op.addr), op.addr.block) ==
+                ftl_.blocks().block_state(plane_of(op), addr_of(op).block) ==
                     ftl::BlockState::kRetired;
       }
       // The physical program finished (well or badly): its OOB is now
       // determined, even when the logical outcome below is a re-place.
-      if (ftl_.oob().enabled()) record_program_oob(op, program_failed);
+      if (ftl_.oob().enabled()) record_program_oob(op_id, program_failed);
       if (fault) {
         handle_write_fault(op_id, program_failed);
       } else if (op.kind == OpKind::kHostWrite) {
@@ -746,8 +761,9 @@ void Ssd::handle_bus_free(std::uint32_t channel, std::uint64_t op_id) {
   if (op_id != kNoOp) {
     // A read transfer finished: release the unit, run the ECC check, and
     // complete (or retry) the op.
-    PageOp& op = ops_[op_id];
-    const std::uint64_t unit = unit_of(op.addr);
+    const auto id = static_cast<OpId>(op_id);
+    PageOp& op = ops_[id];
+    const std::uint64_t unit = unit_of(op);
     units_[unit].busy = false;
     grant_seq_[unit] = grant_key(unit);
     // The unit lives on `channel`, so when unit_next falls through to
@@ -756,16 +772,16 @@ void Ssd::handle_bus_free(std::uint32_t channel, std::uint64_t op_id) {
     bool arbitrated = false;
     if (read_ecc_failed(op)) {
       if (op.attempts < options_.faults.max_read_retries) {
-        start_read_retry(unit, op_id);  // unit is re-occupied
+        start_read_retry(unit, id);  // unit is re-occupied
       } else {
-        handle_uncorrectable_read(op_id);
+        handle_uncorrectable_read(id);
         arbitrated = unit_next(unit);
       }
     } else {
       if (op.kind == OpKind::kHostRead) {
-        finish_host_op(op_id);
+        finish_host_op(id);
       } else {
-        on_gc_read_done(op_id);
+        on_gc_read_done(id);
       }
       arbitrated = unit_next(unit);
     }
@@ -776,7 +792,8 @@ void Ssd::handle_bus_free(std::uint32_t channel, std::uint64_t op_id) {
 
 // --- OOB metadata (power model) ---------------------------------------------
 
-void Ssd::record_program_oob(const PageOp& op, bool program_failed) {
+void Ssd::record_program_oob(OpId op_id, bool program_failed) {
+  const PageOp& op = ops_[op_id];
   ftl::OobStore& oob = ftl_.oob();
   if (program_failed) {
     // The program corrupted the page; nothing readable landed.
@@ -791,7 +808,7 @@ void Ssd::record_program_oob(const PageOp& op, bool program_failed) {
       record_resolved_migration_oob(op);
     }
   } else {
-    oob.record_program(op.ppn, op.tenant, op.lpn, op.oob_seq);
+    oob.record_program(op.ppn, op.tenant, op.lpn, op_oob_seqs_[op_id]);
   }
 }
 
@@ -808,7 +825,7 @@ void Ssd::record_resolved_migration_oob(const PageOp& op) {
     if (!other.in_use || other.ppn != op.gc_src) continue;
     if (other.kind == OpKind::kHostWrite ||
         other.kind == OpKind::kFlushWrite) {
-      oob.record_program(op.ppn, other.tenant, other.lpn, other.oob_seq);
+      oob.record_program(op.ppn, other.tenant, other.lpn, op_oob_seqs_[id]);
       return;
     }
     if (other.kind == OpKind::kGcWrite &&
@@ -831,12 +848,11 @@ bool Ssd::draw_fault(double p) {
 
 bool Ssd::read_ecc_failed(const PageOp& op) {
   if (!faults_on_) return false;
-  const std::uint64_t plane = options_.geometry.plane_id(op.addr);
   return draw_fault(options_.faults.read_fail_prob(
-      ftl_.blocks().erase_count(plane, op.addr.block)));
+      ftl_.blocks().erase_count(plane_of(op), addr_of(op).block)));
 }
 
-void Ssd::start_read_retry(std::uint64_t unit, std::uint64_t op_id) {
+void Ssd::start_read_retry(std::uint64_t unit, OpId op_id) {
   PageOp& op = ops_[op_id];
   ++op.attempts;
   const Duration sense = options_.timing.read_retry_ns(op.attempts);
@@ -845,7 +861,7 @@ void Ssd::start_read_retry(std::uint64_t unit, std::uint64_t op_id) {
   metrics_.record_read_retry(op.tenant, sense + page_xfer_ns_);
   if (tracer_) {
     trace_op_span(telemetry::SpanKind::kRetrySense, now_, now_ + sense, op,
-                  op.attempts);
+                  unit, op.attempts);
   }
   UnitState& u = units_[unit];
   assert(!u.busy);
@@ -857,7 +873,7 @@ void Ssd::start_read_retry(std::uint64_t unit, std::uint64_t op_id) {
   events_.push(u.busy_until, EventKind::kFlashDone, unit, op_id);
 }
 
-void Ssd::handle_uncorrectable_read(std::uint64_t op_id) {
+void Ssd::handle_uncorrectable_read(OpId op_id) {
   PageOp& op = ops_[op_id];
   metrics_.record_uncorrectable_read(op.tenant);
   if (op.kind == OpKind::kHostRead) {
@@ -882,12 +898,13 @@ void Ssd::handle_uncorrectable_read(std::uint64_t op_id) {
   gc_settle(job_index);
 }
 
-void Ssd::handle_write_fault(std::uint64_t op_id, bool program_failed) {
+void Ssd::handle_write_fault(OpId op_id, bool program_failed) {
   // Work from a copy: the branches below re-place the op in its slab
   // record, while the undo and retirement steps need the failed placement.
   const PageOp snap = ops_[op_id];
-  const std::uint64_t plane = options_.geometry.plane_id(snap.addr);
-  const std::uint32_t block = snap.addr.block;
+  const sim::PhysAddr failed_at = addr_of(snap);
+  const std::uint64_t plane = options_.geometry.plane_id(failed_at);
+  const std::uint32_t block = failed_at.block;
 
   // Undo the bad placement first so a retirement rescue below never
   // snapshots the failed page as rescuable. (GC writes install their
@@ -908,10 +925,8 @@ void Ssd::handle_write_fault(std::uint64_t op_id, bool program_failed) {
   }
 
   if (snap.kind == OpKind::kGcWrite) {
-    const sim::Ppn dst = migration_target(gc_jobs_[snap.gc_job]);
-    PageOp& op = ops_[op_id];
-    op.ppn = dst;
-    op.addr = options_.geometry.decode(dst);
+    ops_[op_id].ppn =
+        static_cast<sim::Ppn32>(migration_target(gc_jobs_[snap.gc_job]));
     dispatch_write(op_id);
     return;
   }
@@ -926,15 +941,14 @@ void Ssd::handle_write_fault(std::uint64_t op_id, bool program_failed) {
     }
     return;
   }
-  const sim::Ppn ppn = ftl_.rewrite_page(snap.tenant, snap.lpn, snap.addr);
   PageOp& op = ops_[op_id];
-  op.ppn = ppn;
-  op.addr = options_.geometry.decode(ppn);
+  op.ppn = static_cast<sim::Ppn32>(
+      ftl_.rewrite_page(snap.tenant, snap.lpn, failed_at));
   // The re-place re-installed the mapping: a newer version as far as the
   // OOB is concerned, so it gets a fresh sequence number.
-  if (ftl_.oob().enabled()) op.oob_seq = ftl_.oob().fresh_seq();
+  if (ftl_.oob().enabled()) op_oob_seqs_[op_id] = ftl_.oob().fresh_seq();
   dispatch_write(op_id);
-  maybe_start_gc(options_.geometry.plane_id(op.addr));
+  maybe_start_gc(plane_of(op));
 }
 
 sim::Ppn Ssd::migration_target(const GcJob& job) {
@@ -972,7 +986,7 @@ void Ssd::start_rescue(std::uint64_t plane_id, std::uint32_t block) {
 
 // --- completions ------------------------------------------------------------------
 
-void Ssd::finish_host_op(std::uint64_t op_id) {
+void Ssd::finish_host_op(OpId op_id) {
   const std::uint64_t request_index = ops_[op_id].request;
   free_op(op_id);
   complete_request_page(request_index);
@@ -1018,20 +1032,19 @@ void Ssd::complete_request_page(std::uint64_t request_index, bool failed) {
   }
 }
 
-void Ssd::on_gc_read_done(std::uint64_t op_id) {
+void Ssd::on_gc_read_done(OpId op_id) {
   PageOp& op = ops_[op_id];
   const std::uint32_t job_index = op.gc_job;
   GcJob& job = gc_jobs_[job_index];
-  const sim::Ppn src = op.ppn;
+  const sim::Ppn32 src = op.ppn;
   free_op(op_id);
 
   const sim::Ppn dst = migration_target(job);
-  const std::uint64_t write_id = alloc_op();
+  const OpId write_id = alloc_op();
   PageOp& w = ops_[write_id];
   w.kind = OpKind::kGcWrite;
   w.tenant = sim::kInternalTenant;
-  w.ppn = dst;
-  w.addr = options_.geometry.decode(dst);
+  w.ppn = static_cast<sim::Ppn32>(dst);
   w.gc_src = src;
   w.gc_job = job_index;
   ++(job.rescue ? metrics_.counters().rescue_migrations
@@ -1039,7 +1052,7 @@ void Ssd::on_gc_read_done(std::uint64_t op_id) {
   dispatch_write(write_id);
 }
 
-void Ssd::on_gc_write_done(std::uint64_t op_id) {
+void Ssd::on_gc_write_done(OpId op_id) {
   PageOp& op = ops_[op_id];
   ftl_.complete_migration(op.gc_src, op.ppn);
   const std::uint32_t job_index = op.gc_job;
@@ -1066,16 +1079,23 @@ void Ssd::gc_settle(std::uint32_t job_index) {
     return;
   }
   // All survivors moved; the victim is now fully invalid.
-  const std::uint64_t erase_id = alloc_op();
+  erase_victim(job_index);
+}
+
+void Ssd::erase_victim(std::uint32_t job_index) {
+  const GcJob& job = gc_jobs_[job_index];
+  const auto& g = options_.geometry;
+  const OpId erase_id = alloc_op();
   PageOp& e = ops_[erase_id];
   e.kind = OpKind::kErase;
   e.tenant = sim::kInternalTenant;
-  e.addr = block_addr(job.plane_id, job.victim);
+  e.ppn = static_cast<sim::Ppn32>(
+      (job.plane_id * g.blocks_per_plane + job.victim) * g.pages_per_block);
   e.gc_job = job_index;
   dispatch_erase(erase_id);
 }
 
-void Ssd::on_erase_done(std::uint64_t op_id) {
+void Ssd::on_erase_done(OpId op_id) {
   PageOp& op = ops_[op_id];
   const std::uint32_t job_index = op.gc_job;
   GcJob& job = gc_jobs_[job_index];
@@ -1193,38 +1213,18 @@ void Ssd::start_round_on_victim(std::uint32_t job_index,
       job.active = false;
       return;
     }
-    const std::uint64_t erase_id = alloc_op();
-    PageOp& e = ops_[erase_id];
-    e.kind = OpKind::kErase;
-    e.tenant = sim::kInternalTenant;
-    e.addr = block_addr(job.plane_id, job.victim);
-    e.gc_job = job_index;
-    dispatch_erase(erase_id);
+    erase_victim(job_index);
     return;
   }
   for (const sim::Ppn src : survivors) {
-    const std::uint64_t read_id = alloc_op();
+    const OpId read_id = alloc_op();
     PageOp& r = ops_[read_id];
     r.kind = OpKind::kGcRead;
     r.tenant = sim::kInternalTenant;
-    r.ppn = src;
-    r.addr = options_.geometry.decode(src);
+    r.ppn = static_cast<sim::Ppn32>(src);
     r.gc_job = job_index;
     dispatch_read(read_id);
   }
-}
-
-sim::PhysAddr Ssd::block_addr(std::uint64_t plane_id,
-                              std::uint32_t block) const {
-  const auto& g = options_.geometry;
-  sim::PhysAddr a;
-  const auto chip = static_cast<std::uint32_t>(plane_id / g.planes_per_chip);
-  a.plane = static_cast<std::uint32_t>(plane_id % g.planes_per_chip);
-  a.channel = chip / g.chips_per_channel;
-  a.chip = chip % g.chips_per_channel;
-  a.block = block;
-  a.page = 0;
-  return a;
 }
 
 // --- load introspection -----------------------------------------------------------

@@ -315,27 +315,33 @@ class Ssd {
     kFlushWrite,  ///< write-buffer eviction flowing to flash
   };
 
+  /// One in-flight page operation, 48 bytes: `mixes`' Mix 2 under 2:2:2:2
+  /// holds 207,982 at once. The channel, unit, plane and block derive from
+  /// `ppn` (an erase holds its block's first page), and the OOB seq lives
+  /// in op_oob_seqs_.
   struct PageOp {
-    std::uint64_t request = kNoRequest;  ///< host request index
-    sim::TenantId tenant = 0;
-    OpKind kind = OpKind::kHostRead;
-    sim::PhysAddr addr;
-    sim::Ppn ppn = sim::kInvalidPpn;
-    sim::Ppn gc_src = sim::kInvalidPpn;  ///< migration source (kGcWrite)
-    std::uint32_t gc_job = kNoJob;
     std::uint64_t lpn = 0;  ///< owner LPN (host/flush ops; fault re-place)
-    /// OOB write sequence number, drawn at placement (host/flush writes
-    /// with the power model on; 0 otherwise — GC writes copy src OOB).
-    std::uint64_t oob_seq = 0;
     std::uint64_t enq_seq = 0;  ///< dispatch order (FIFO tie-breaks)
     SimTime dispatched_at = 0;  ///< queue-wait accounting
-    std::uint32_t attempts = 0;  ///< read retries issued so far
+    std::uint32_t request = kNoRequest32;  ///< host request index
+    sim::TenantId tenant = 0;
+    sim::Ppn32 ppn = sim::kInvalidPpn32;
+    sim::Ppn32 gc_src = sim::kInvalidPpn32;  ///< migration source (kGcWrite)
+    std::uint32_t gc_job = kNoJob;
+    std::uint16_t attempts = 0;  ///< read retries issued so far
+    OpKind kind = OpKind::kHostRead;
     bool in_use = false;
   };
+  static_assert(sizeof(PageOp) == 48,
+                "one record per in-flight page op: keep it packed");
 
+  /// Slot index in the op slab.
+  using OpId = std::uint32_t;
   // Op queues are rings, not deques: after warm-up their capacity is
   // stable and steady-state queueing allocates nothing.
-  using OpQueue = util::RingBuffer<std::uint64_t>;
+  using OpQueue = util::RingBuffer<OpId>;
+  /// The write buffer's eviction FIFO of packed (tenant, lpn) keys.
+  using KeyQueue = util::RingBuffer<std::uint64_t>;
   /// The op slab: page-op records in pages that never move.
   using OpSlab = util::PagedVector<PageOp>;
 
@@ -407,13 +413,20 @@ class Ssd {
   };
 
   static constexpr std::uint64_t kNoRequest = ~std::uint64_t{0};
+  /// PageOp::request of an op serving no host request. It is also why the
+  /// request table stops one entry short of 2^32.
+  static constexpr std::uint32_t kNoRequest32 = ~std::uint32_t{0};
+  /// The op slab's slot limit, 2^32 - 1: every id, and the slot count
+  /// itself, fits an OpId.
+  static constexpr std::size_t kMaxOps = ~OpId{0};
   static constexpr std::uint32_t kNoJob = ~std::uint32_t{0};
   /// Grant key of a unit that cannot take a write; sorts after every seq.
   static constexpr std::uint64_t kNoGrant = ~std::uint64_t{0};
 
   // Op slab management.
-  std::uint64_t alloc_op();
-  void free_op(std::uint64_t id);
+  /// Throws std::length_error rather than grow the slab past kMaxOps.
+  OpId alloc_op();
+  void free_op(OpId id);
 
   /// Request `index`'s side counts; all zero when none was ever recorded.
   RequestTally tally(std::uint64_t index) const {
@@ -442,11 +455,13 @@ class Ssd {
   // tracer_ so a disabled run costs one branch per site).
   telemetry::OpClass op_class(const PageOp& op) const;
   std::uint64_t host_request_id(const PageOp& op) const;
-  /// Span tied to one page op (resource ids derived from its address).
+  /// Span tied to one page op on its execution unit (the channel is the
+  /// unit's).
   void trace_op_span(telemetry::SpanKind kind, SimTime begin, SimTime end,
-                     const PageOp& op, std::uint64_t detail = 0);
+                     const PageOp& op, std::uint64_t unit,
+                     std::uint64_t detail = 0);
   /// Queue-wait span from dispatch to first grant; skipped when zero.
-  void trace_wait(const PageOp& op);
+  void trace_wait(const PageOp& op, std::uint64_t unit);
 
   // Power-loss internals (ssd_power.cpp).
   /// Fires a scheduled cut when the run loop's next step is at/past the
@@ -460,7 +475,7 @@ class Ssd {
   /// every barrier it was holding up.
   void settle_flush_barriers(std::uint64_t enq_seq);
   /// Record a completed program's OOB metadata (power model on).
-  void record_program_oob(const PageOp& op, bool program_failed);
+  void record_program_oob(OpId op_id, bool program_failed);
   /// Migration completed before its source's own program did: resolve the
   /// copied version from the pending op instead of the (unwritten) src OOB.
   void record_resolved_migration_oob(const PageOp& op);
@@ -476,14 +491,15 @@ class Ssd {
   /// Page `lpn` of a request served by the DRAM write buffer (a read hit
   /// or an absorbed write): frees its op, records the kBufferHit span and
   /// completes the page after the DRAM latency.
-  void serve_from_buffer(std::uint64_t request_index, std::uint64_t op_id,
+  void serve_from_buffer(std::uint64_t request_index, OpId op_id,
                          std::uint64_t lpn);
 
   // Event handlers.
   void handle_arrival(std::uint64_t request_index);
-  void handle_flash_done(std::uint64_t unit, std::uint64_t op_id);
+  void handle_flash_done(std::uint64_t unit, OpId op_id);
   /// Merged bus-release + program-completion for non-pipelined writes.
-  void handle_write_done(std::uint64_t unit, std::uint64_t op_id);
+  void handle_write_done(std::uint64_t unit, OpId op_id);
+  /// `op_id` is an event payload: an op id or sim::kNoOp.
   void handle_bus_free(std::uint32_t channel, std::uint64_t op_id);
   void handle_buffer_done(std::uint64_t request_index,
                           std::uint64_t pages);
@@ -507,11 +523,11 @@ class Ssd {
   void compact_buffer_fifo();
 
   // Dispatch / arbitration.
-  void dispatch_read(std::uint64_t op_id);
-  void dispatch_write(std::uint64_t op_id);
-  void dispatch_erase(std::uint64_t op_id);
-  void start_array_read(std::uint64_t unit, std::uint64_t op_id);
-  void start_erase(std::uint64_t unit, std::uint64_t op_id);
+  void dispatch_read(OpId op_id);
+  void dispatch_write(OpId op_id);
+  void dispatch_erase(OpId op_id);
+  void start_array_read(std::uint64_t unit, OpId op_id);
+  void start_erase(std::uint64_t unit, OpId op_id);
   /// Returns true when it fell through to arbitrate() for the unit's
   /// channel (so the caller must not arbitrate the same channel again —
   /// the duplicate call is always a no-op and just re-scans the queues).
@@ -532,12 +548,12 @@ class Ssd {
   }
 
   // Completions.
-  void finish_host_op(std::uint64_t op_id);
+  void finish_host_op(OpId op_id);
   void complete_request_page(std::uint64_t request_index,
                              bool failed = false);
-  void on_gc_read_done(std::uint64_t op_id);
-  void on_gc_write_done(std::uint64_t op_id);
-  void on_erase_done(std::uint64_t op_id);
+  void on_gc_read_done(OpId op_id);
+  void on_gc_write_done(OpId op_id);
+  void on_erase_done(OpId op_id);
 
   // Fault injection (no-ops while options_.faults is disabled).
   /// Seeded Bernoulli draw; never consumes randomness when p <= 0.
@@ -546,12 +562,12 @@ class Ssd {
   bool read_ecc_failed(const PageOp& op);
   /// Re-sense the page: the unit is re-occupied with escalating latency,
   /// then the data is shifted out over the bus again.
-  void start_read_retry(std::uint64_t unit, std::uint64_t op_id);
+  void start_read_retry(std::uint64_t unit, OpId op_id);
   /// Retries exhausted: fail the host page or drop the GC migration.
-  void handle_uncorrectable_read(std::uint64_t op_id);
+  void handle_uncorrectable_read(OpId op_id);
   /// A write landed badly: program failure, or the target block was
   /// retired while the program was in flight. Re-places and re-dispatches.
-  void handle_write_fault(std::uint64_t op_id, bool program_failed);
+  void handle_write_fault(OpId op_id, bool program_failed);
   /// Take a block out of rotation and migrate its survivors.
   void retire_and_rescue(std::uint64_t plane_id, std::uint32_t block);
   void start_rescue(std::uint64_t plane_id, std::uint32_t block);
@@ -574,8 +590,8 @@ class Ssd {
   /// Run one reclamation round on an explicit victim (GC proper passes the
   /// greedy pick; static wear leveling passes the coldest Full block).
   void start_round_on_victim(std::uint32_t job_index, std::uint32_t victim);
-  sim::PhysAddr block_addr(std::uint64_t plane_id,
-                           std::uint32_t block) const;
+  /// Queue the erase of job `job_index`'s victim block.
+  void erase_victim(std::uint32_t job_index);
 
   /// Execution units per channel under the current granularity (cached
   /// at construction; the granularity never changes afterwards).
@@ -584,6 +600,15 @@ class Ssd {
     return options_.multiplane_program
                ? options_.geometry.plane_id(a)
                : options_.geometry.chip_id(a.channel, a.chip);
+  }
+  /// A placed op's flash address, decoded from its ppn (an erase's is its
+  /// block's first page).
+  sim::PhysAddr addr_of(const PageOp& op) const {
+    return options_.geometry.decode(op.ppn);
+  }
+  std::uint64_t unit_of(const PageOp& op) const { return unit_of(addr_of(op)); }
+  std::uint64_t plane_of(const PageOp& op) const {
+    return options_.geometry.plane_id(addr_of(op));
   }
   std::uint32_t channel_of_unit(std::uint64_t unit) const {
     // Every stock geometry has a power-of-two unit count per channel, so
@@ -650,7 +675,12 @@ class Ssd {
   /// slots go on free_ops_. Slot ids are baked into queued op ids, so
   /// OPSL serializes every slot, free ones included.
   OpSlab ops_;
-  std::vector<std::uint64_t> free_ops_;
+  std::vector<OpId> free_ops_;
+  /// Each op slot's OOB write sequence number, drawn at placement (host
+  /// and flush writes; 0 otherwise, GC writes copy their source's OOB).
+  /// Indexed like ops_, and allocated only with the power model on: the
+  /// seq is recorded on flash only when an OOB store exists.
+  std::vector<std::uint64_t> op_oob_seqs_;
   std::uint64_t next_enq_seq_ = 0;
 
   std::vector<GcJob> gc_jobs_;
@@ -664,7 +694,7 @@ class Ssd {
   // ones. Map values are insertion seqs; compaction borrows their top bit
   // as a seen-marker (kBufferKeptBit) so it needs no side allocation.
   std::unordered_map<std::uint64_t, std::uint64_t> buffer_;  // key -> seq
-  OpQueue buffer_fifo_;
+  KeyQueue buffer_fifo_;
   std::uint64_t buffer_seq_ = 0;
   std::uint64_t buffer_hits_ = 0;
 

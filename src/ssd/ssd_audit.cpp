@@ -56,7 +56,7 @@ void Ssd::check_invariants() const {
 
   // --- op slab: every op is either in use or on the free list, once -------
   std::vector<std::uint8_t> on_free_list(ops_.size(), 0);
-  for (const std::uint64_t id : free_ops_) {
+  for (const OpId id : free_ops_) {
     SSDK_CHECK_MSG(id < ops_.size(),
                    "ssd: free list holds out-of-range " + op_str(id));
     SSDK_CHECK_MSG(!on_free_list[id],
@@ -81,10 +81,15 @@ void Ssd::check_invariants() const {
                      " free != " + std::to_string(ops_.size()));
 
   // --- in-use op fields reference live structures --------------------------
+  SSDK_CHECK_MSG(op_oob_seqs_.size() ==
+                     (ftl_.oob().enabled() ? ops_.size() : 0),
+                 "ssd: " + std::to_string(op_oob_seqs_.size()) +
+                     " op OOB seqs for " + std::to_string(ops_.size()) +
+                     " op slots");
   for (std::size_t id = 0; id < ops_.size(); ++id) {
     const PageOp& op = ops_[id];
     if (!op.in_use) continue;
-    if (op.request != kNoRequest) {
+    if (op.request != kNoRequest32) {
       SSDK_CHECK_MSG(op.request < requests_.size(),
                      "ssd: " + op_str(id) + " references request " +
                          std::to_string(op.request) + " out of range");
@@ -103,11 +108,15 @@ void Ssd::check_invariants() const {
                        std::to_string(op.enq_seq) + " >= next_enq_seq");
     if (ftl_.oob().enabled() &&
         (op.kind == OpKind::kHostWrite || op.kind == OpKind::kFlushWrite)) {
-      SSDK_CHECK_MSG(op.oob_seq > 0 && op.oob_seq < ftl_.oob().next_seq(),
+      const std::uint64_t seq = op_oob_seqs_[id];
+      SSDK_CHECK_MSG(seq > 0 && seq < ftl_.oob().next_seq(),
                      "ssd: " + op_str(id) + " carries oob_seq " +
-                         std::to_string(op.oob_seq) +
-                         " outside (0, next_seq)");
+                         std::to_string(seq) + " outside (0, next_seq)");
     }
+    // Placed ops carry a page of the device; unit_of and friends decode it.
+    SSDK_CHECK_MSG(op.ppn < geom.total_pages(),
+                   "ssd: " + op_str(id) + " carries ppn " +
+                       std::to_string(op.ppn) + " outside the device");
   }
 
   // --- op queues: members are live and queued at most once -----------------
@@ -115,7 +124,7 @@ void Ssd::check_invariants() const {
   const auto check_queue = [&](const OpQueue& q, const char* where,
                                std::uint64_t index) {
     for (std::size_t i = 0; i < q.size(); ++i) {
-      const std::uint64_t id = q.at(i);
+      const OpId id = q.at(i);
       SSDK_CHECK_MSG(id < ops_.size() && ops_[id].in_use,
                      "ssd: " + std::string(where) + " " +
                          std::to_string(index) + " queues dead " + op_str(id));
@@ -136,7 +145,7 @@ void Ssd::check_invariants() const {
     check_queue(channels_[c].read_q, "channel read_q", c);
     const OpQueue& rq = channels_[c].read_q;
     for (std::size_t i = 0; i < rq.size(); ++i) {
-      holds_parked_read[unit_of(ops_[rq.at(i)].addr)] = 1;
+      holds_parked_read[unit_of(ops_[rq.at(i)])] = 1;
     }
   }
   for (std::size_t u = 0; u < units_.size(); ++u) {
@@ -301,7 +310,7 @@ void Ssd::check_invariants() const {
   std::sort(held.begin(), held.end());
   for (std::size_t id = 0; id < ops_.size(); ++id) {
     const PageOp& op = ops_[id];
-    if (!op.in_use || op.request == kNoRequest) continue;
+    if (!op.in_use || op.request == kNoRequest32) continue;
     SSDK_CHECK_MSG(
         !std::binary_search(held.begin(), held.end(), op.request),
         "ssd: " + op_str(id) + " in flight for request " +

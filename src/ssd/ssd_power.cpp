@@ -68,13 +68,10 @@ PowerLossReport Ssd::power_off() {
           }
         }
         break;
-      case OpKind::kErase: {
-        const std::uint64_t plane = options_.geometry.plane_id(op.addr);
-        oob.mark_block_unknown(
-            plane * options_.geometry.blocks_per_plane + op.addr.block);
+      case OpKind::kErase:
+        oob.mark_block_unknown(options_.geometry.block_id(addr_of(op)));
         ++report.unknown_blocks;
         break;
-      }
       case OpKind::kHostRead:
       case OpKind::kGcRead:
         break;  // reads destroy nothing
@@ -132,6 +129,7 @@ PowerLossReport Ssd::power_off() {
   std::fill(grant_seq_.begin(), grant_seq_.end(), kNoGrant);
   ops_.clear();
   free_ops_.clear();
+  op_oob_seqs_.clear();
   gc_jobs_.clear();
   std::fill(gc_job_of_plane_.begin(), gc_job_of_plane_.end(), kNoJob);
   buffer_.clear();

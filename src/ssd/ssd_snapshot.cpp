@@ -9,6 +9,7 @@
 #include "ssd/ssd.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -33,27 +34,42 @@ std::unique_ptr<Ssd> Ssd::fork() const {
 
 namespace {
 
-void save_ring(snapshot::StateWriter& w,
-               const util::RingBuffer<std::uint64_t>& q) {
+[[noreturn]] void reject(std::uint64_t at, const std::string& what) {
+  throw snapshot::SnapshotError(
+      "snapshot: " + what + " at offset " + std::to_string(at), at);
+}
+
+/// Queues write 64-bit entries whatever their width in memory.
+template <typename T>
+void save_ring(snapshot::StateWriter& w, const util::RingBuffer<T>& q) {
   w.u64(q.size());
   for (std::size_t i = 0; i < q.size(); ++i) w.u64(q.at(i));
 }
 
 /// Loads a ring; returns the offset of its count, so the caller can name
 /// entry k's offset (count + 8 + 8k) once the op slab is known.
-std::uint64_t load_ring(snapshot::StateReader& r,
-                        util::RingBuffer<std::uint64_t>& q) {
+template <typename T>
+std::uint64_t load_ring(snapshot::StateReader& r, util::RingBuffer<T>& q) {
   const std::uint64_t at = r.offset();
   const std::uint64_t n = r.checked_count(8);
   q.clear();
   q.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) q.push_back(r.u64());
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint64_t v = r.u64();
+    if (v > std::numeric_limits<T>::max()) {
+      reject(at + 8 + 8 * i, "queue entry " + std::to_string(v) +
+                                 " does not fit its " +
+                                 std::to_string(8 * sizeof(T)) + "-bit slot");
+    }
+    q.push_back(static_cast<T>(v));
+  }
   return at;
 }
 
-[[noreturn]] void reject(std::uint64_t at, const std::string& what) {
-  throw snapshot::SnapshotError(
-      "snapshot: " + what + " at offset " + std::to_string(at), at);
+/// A 32-bit PPN field as the wire writes it: kInvalidPpn32 widens to
+/// kInvalidPpn.
+std::uint64_t widen(sim::Ppn32 ppn) {
+  return ppn == sim::kInvalidPpn32 ? sim::kInvalidPpn : ppn;
 }
 
 /// "request 7", "op 12": names an element in a rejection message.
@@ -129,30 +145,37 @@ void Ssd::save_state(snapshot::StateWriter& w) const {
   w.u64(last_submitted_arrival_);
 
   // Page-op slab (including free slots — slab indices are baked into
-  // queued op ids, so the layout must survive verbatim).
+  // queued op ids, so the layout must survive verbatim). The wire writes
+  // the record's 32-bit PPN twice: decoded into five address components,
+  // and widened to 64 bits like the request index, migration source and
+  // free-list ids. An erase writes kInvalidPpn, and a slot freed before
+  // placement (a trim, a buffer hit) zero components.
   w.tag("OPSL");
   w.u64(ops_.size());
   for (std::size_t id = 0; id < ops_.size(); ++id) {
     const PageOp& op = ops_[id];
-    w.u64(op.request);
+    w.u64(op.request == kNoRequest32 ? kNoRequest : op.request);
     w.u32(op.tenant);
     w.u8(static_cast<std::uint8_t>(op.kind));
-    w.u32(op.addr.channel);
-    w.u32(op.addr.chip);
-    w.u32(op.addr.plane);
-    w.u32(op.addr.block);
-    w.u32(op.addr.page);
-    w.u64(op.ppn);
-    w.u64(op.gc_src);
+    const sim::PhysAddr addr =
+        op.ppn == sim::kInvalidPpn32 ? sim::PhysAddr{} : addr_of(op);
+    w.u32(addr.channel);
+    w.u32(addr.chip);
+    w.u32(addr.plane);
+    w.u32(addr.block);
+    w.u32(addr.page);
+    w.u64(op.kind == OpKind::kErase ? sim::kInvalidPpn : widen(op.ppn));
+    w.u64(widen(op.gc_src));
     w.u32(op.gc_job);
     w.u64(op.lpn);
-    w.u64(op.oob_seq);
+    w.u64(id < op_oob_seqs_.size() ? op_oob_seqs_[id] : 0);
     w.u64(op.enq_seq);
     w.u64(op.dispatched_at);
     w.u32(op.attempts);
     w.boolean(op.in_use);
   }
-  w.vec_u64(free_ops_);
+  w.u64(free_ops_.size());
+  for (const OpId id : free_ops_) w.u64(id);
   w.u64(next_enq_seq_);
 
   // GC job slab. gc_scratch_ is per-round scratch (cleared before each
@@ -278,8 +301,14 @@ void Ssd::load_state(snapshot::StateReader& r) {
   load_per(unit_busy_ns_, units_.size(), "unit");
 
   r.tag("REQS");
+  const std::uint64_t nreq_at = r.offset();
   const std::uint64_t nreq =
       r.checked_count(8 + 4 + 1 + 8 + 4 + 8 + 4 + 4 + 4);
+  if (nreq > kNoRequest32) {
+    // Page ops name their request in 32 bits, kNoRequest32 meaning none.
+    reject(nreq_at, std::to_string(nreq) + " requests exceed the 2^32 - 1 "
+                    "a page op can name");
+  }
   requests_.assign(nreq, RequestState{});
   request_tallies_.clear();
   for (std::uint64_t i = 0; i < nreq; ++i) {
@@ -332,8 +361,13 @@ void Ssd::load_state(snapshot::StateReader& r) {
   last_submitted_arrival_ = r.u64();
 
   r.tag("OPSL");
+  const std::uint64_t nops_at = r.offset();
   const std::uint64_t nops = r.checked_count(8 + 4 + 1 + 5 * 4 + 8 + 8 + 4 +
                                              8 + 8 + 8 + 8 + 4 + 1);
+  if (nops > kMaxOps) {
+    reject(nops_at, std::to_string(nops) + " op slots exceed the 2^32 - 1 "
+                    "an op id can name");
+  }
   const auto& g = options_.geometry;
   // Job indices of in-use GC and erase ops, checked once GCJB is loaded.
   struct JobRef {
@@ -343,10 +377,15 @@ void Ssd::load_state(snapshot::StateReader& r) {
   };
   std::vector<JobRef> job_refs;
   ops_.assign(nops, PageOp{});
+  op_oob_seqs_.clear();
+  if (ftl_.oob().enabled()) op_oob_seqs_.assign(nops, 0);
+  // Every field is checked before it is narrowed to the record's width,
+  // free slots included: a free slot keeps its last op's fields, and
+  // save(load(b)) must reproduce b.
   for (std::uint64_t id = 0; id < nops; ++id) {
     PageOp& op = ops_[id];
     const std::uint64_t request_at = r.offset();
-    op.request = r.u64();
+    const std::uint64_t request = r.u64();
     op.tenant = r.u32();
     const std::uint64_t kind_at = r.offset();
     const std::uint8_t kind = r.u8();
@@ -355,8 +394,8 @@ void Ssd::load_state(snapshot::StateReader& r) {
                           " is not an OpKind");
     }
     op.kind = static_cast<OpKind>(kind);
-    // unit_of(addr) indexes units_, and the block and page pick flash
-    // state: every component must lie inside the geometry.
+    // unit_of indexes units_, and the block and page pick flash state:
+    // every component must lie inside the geometry.
     const auto component = [&](const char* field, std::uint32_t limit) {
       const std::uint64_t at = r.offset();
       const std::uint32_t v = r.u32();
@@ -367,41 +406,99 @@ void Ssd::load_state(snapshot::StateReader& r) {
       }
       return v;
     };
-    op.addr.channel = component("channel", g.channels);
-    op.addr.chip = component("chip", g.chips_per_channel);
-    op.addr.plane = component("plane", g.planes_per_chip);
-    op.addr.block = component("block", g.blocks_per_plane);
-    op.addr.page = component("page", g.pages_per_block);
-    op.ppn = r.u64();
-    op.gc_src = r.u64();
+    sim::PhysAddr addr;
+    addr.channel = component("channel", g.channels);
+    addr.chip = component("chip", g.chips_per_channel);
+    addr.plane = component("plane", g.planes_per_chip);
+    addr.block = component("block", g.blocks_per_plane);
+    const std::uint64_t page_at = r.offset();
+    addr.page = component("page", g.pages_per_block);
+    const std::uint64_t ppn_at = r.offset();
+    const sim::Ppn ppn = r.u64();
+    const std::uint64_t src_at = r.offset();
+    const sim::Ppn gc_src = r.u64();
     const std::uint64_t job_at = r.offset();
     op.gc_job = r.u32();
     op.lpn = r.u64();
-    op.oob_seq = r.u64();
+    const std::uint64_t seq_at = r.offset();
+    const std::uint64_t seq = r.u64();
     op.enq_seq = r.u64();
     op.dispatched_at = r.u64();
-    op.attempts = r.u32();
+    const std::uint64_t attempts_at = r.offset();
+    const std::uint32_t attempts = r.u32();
     op.in_use = r.boolean();
-    if (!op.in_use) continue;
+
     const bool host =
         op.kind == OpKind::kHostRead || op.kind == OpKind::kHostWrite;
-    if ((host || op.request != kNoRequest) && op.request >= nreq) {
+    if ((request != kNoRequest || (op.in_use && host)) && request >= nreq) {
       reject(request_at, item("op", id) + " names request " +
-                             std::to_string(op.request) + " past the " +
+                             std::to_string(request) + " past the " +
                              std::to_string(nreq) + "-entry request table");
     }
-    if (op.kind == OpKind::kGcRead || op.kind == OpKind::kGcWrite ||
-        op.kind == OpKind::kErase) {
+    op.request = request == kNoRequest ? kNoRequest32
+                                       : static_cast<std::uint32_t>(request);
+    // The record keeps one copy of the address, its PPN, so the wire's two
+    // copies must agree. An erase names its block by the components alone.
+    const sim::Ppn encoded = g.encode(addr);
+    if (op.kind == OpKind::kErase) {
+      if (ppn != sim::kInvalidPpn) {
+        reject(ppn_at, item("erase op", id) + " carries ppn " +
+                           std::to_string(ppn) + "; an erase names its "
+                           "block by address");
+      }
+      if (addr.page != 0) {
+        reject(page_at, item("erase op", id) + " address page " +
+                            std::to_string(addr.page) +
+                            " is not its block's first");
+      }
+      op.ppn = static_cast<sim::Ppn32>(encoded);
+    } else if (!op.in_use && ppn == sim::kInvalidPpn &&
+               addr == sim::PhysAddr{}) {
+      op.ppn = sim::kInvalidPpn32;  // freed before placement
+    } else if (ppn != encoded) {
+      reject(ppn_at, item("op", id) + " ppn " + std::to_string(ppn) +
+                         " disagrees with its address, ppn " +
+                         std::to_string(encoded));
+    } else {
+      op.ppn = static_cast<sim::Ppn32>(encoded);
+    }
+    const bool needs_src = op.in_use && op.kind == OpKind::kGcWrite;
+    if ((needs_src || gc_src != sim::kInvalidPpn) &&
+        gc_src >= g.total_pages()) {
+      reject(src_at, item("op", id) + " migration source " +
+                         std::to_string(gc_src) +
+                         " is outside the device's " +
+                         std::to_string(g.total_pages()) + " pages");
+    }
+    op.gc_src = gc_src == sim::kInvalidPpn ? sim::kInvalidPpn32
+                                           : static_cast<sim::Ppn32>(gc_src);
+    if (ftl_.oob().enabled()) {
+      op_oob_seqs_[id] = seq;
+    } else if (seq != 0) {
+      reject(seq_at, item("op", id) + " carries OOB seq " +
+                         std::to_string(seq) +
+                         " on a device without the power model");
+    }
+    if (attempts > std::numeric_limits<std::uint16_t>::max()) {
+      reject(attempts_at, item("op", id) + " read attempts " +
+                              std::to_string(attempts) + " exceed 65535");
+    }
+    op.attempts = static_cast<std::uint16_t>(attempts);
+    if (op.in_use && (op.kind == OpKind::kGcRead ||
+                      op.kind == OpKind::kGcWrite ||
+                      op.kind == OpKind::kErase)) {
       job_refs.push_back({id, op.gc_job, job_at});
     }
   }
   const std::uint64_t free_at = r.offset();
-  free_ops_ = r.vec_u64();
+  const std::vector<std::uint64_t> free_ids = r.vec_u64();
   // alloc_op writes ops_[id] for every id it pops: each must be a free
   // slot of the slab, listed once.
+  free_ops_.clear();
+  free_ops_.reserve(free_ids.size());
   std::vector<std::uint8_t> listed(nops, 0);
-  for (std::size_t k = 0; k < free_ops_.size(); ++k) {
-    const std::uint64_t id = free_ops_[k];
+  for (std::size_t k = 0; k < free_ids.size(); ++k) {
+    const std::uint64_t id = free_ids[k];
     const std::uint64_t at = free_at + 8 + 8 * k;
     if (id >= nops) {
       reject(at, "free list names op " + std::to_string(id) +
@@ -415,6 +512,7 @@ void Ssd::load_state(snapshot::StateReader& r) {
       reject(at, "free list names op " + std::to_string(id) + " twice");
     }
     listed[id] = 1;
+    free_ops_.push_back(static_cast<OpId>(id));
   }
   next_enq_seq_ = r.u64();
   // Every queued op id, and every op an event names, must be an in-use
@@ -552,17 +650,50 @@ void Ssd::load_state(snapshot::StateReader& r) {
   }
   media_lost_keys_ = r.vec_u64();
 
-  // Admission indexes the request table with each queued request.
-  for (const auto& [queued, at] : sched_.load_state(r)) {
-    if (queued.request_index >= arrival_cursor_) {
-      reject(at, item("queued request", queued.request_index) +
+  // Admission indexes the request table with each queued request and
+  // dispatches all its pages: the request must have arrived, be queued
+  // once, and not have started. A started request is named by an in-use
+  // op, a pending buffer completion or a flush barrier, or has counted
+  // pages; its remaining count alone cannot tell, since an admitted
+  // request whose pages are all in flight still has every page remaining.
+  const auto queued_items = sched_.load_state(r);
+  constexpr std::uint8_t kStarted = 1, kQueued = 2;
+  std::vector<std::uint8_t> claimed;
+  if (!queued_items.empty()) {
+    claimed.assign(nreq, 0);
+    for (std::size_t id = 0; id < ops_.size(); ++id) {
+      const PageOp& op = ops_[id];
+      if (op.in_use && op.request != kNoRequest32) {
+        claimed[op.request] = kStarted;
+      }
+    }
+    for (const auto& [e, at] : events) {
+      if (e.kind == sim::EventKind::kBufferDone) claimed[e.a] = kStarted;
+    }
+    for (const FlushBarrier& fb : flush_barriers_) {
+      claimed[fb.request] = kStarted;
+    }
+  }
+  for (const auto& [queued, at] : queued_items) {
+    const std::uint64_t index = queued.request_index;
+    if (index >= arrival_cursor_) {
+      reject(at, item("queued request", index) +
                      " is at or past the arrival cursor " +
                      std::to_string(arrival_cursor_));
     }
     if (queued.page_count == 0) {
-      reject(at + 8, item("queued request", queued.request_index) +
-                         " has zero pages");
+      reject(at + 8, item("queued request", index) + " has zero pages");
     }
+    if (claimed[index] == kQueued) {
+      reject(at, item("queued request", index) + " is queued twice");
+    }
+    const RequestState& rs = requests_[index];
+    const RequestTally tallied = tally(index);
+    if (claimed[index] == kStarted || rs.remaining != rs.page_count ||
+        tallied.failed != 0 || tallied.volatile_pages != 0) {
+      reject(at, item("queued request", index) + " already started");
+    }
+    claimed[index] = kQueued;
   }
 
   r.tag("DONE");

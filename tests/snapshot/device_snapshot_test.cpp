@@ -28,6 +28,7 @@
 #include "telemetry/binary_trace.hpp"
 #include "telemetry/tracer.hpp"
 #include "trace/catalog.hpp"
+#include "util/rng.hpp"
 
 namespace ssdk {
 namespace {
@@ -677,7 +678,11 @@ DeviceLayout parse_device(const std::vector<char>& payload) {
 // the internal GC tenant loaded too; the scheduler indexes its lanes by
 // tenant id, so admitting one would size the lane vector at 2^32. So did
 // a SCHD item naming an unarrived request (request 10^9 made admission
-// read past the request table) or zero pages.
+// read past the request table) or zero pages, and one naming an in-flight
+// request or repeating another item's request (the replay then left one
+// request incomplete forever). The OPSL ppn, erase ppn, migration source
+// and attempts fields were read unchecked; the record now derives its
+// address from a 32-bit ppn and counts attempts in 16 bits.
 TEST(DeviceSnapshot, RejectsResealedDeviceMutations) {
   // GC churn at its midpoint: in-flight host and GC ops, queued ops, free
   // op slots and active GC jobs.
@@ -764,6 +769,62 @@ TEST(DeviceSnapshot, RejectsResealedDeviceMutations) {
         write_u32_at(b, job_field, static_cast<std::uint32_t>(layout.jobs));
       },
       "names gc job", job_field);
+  // The record keeps one copy of the address, its PPN: the wire's ppn
+  // (+33) must encode the five components, an erase slot names its block
+  // by the components alone, a migration source (+41) must be a page of
+  // the device, and read attempts (+85) must fit 16 bits. Free slots keep
+  // their last op's fields, so any slot of a kind will do.
+  expect_rejected(
+      payload,
+      [&](auto& b) { write_u64_at(b, op + 33, read_u64_at(b, op + 33) ^ 1); },
+      "disagrees with its address", op + 33);
+  std::uint64_t erase_op = 0;
+  while (erase_op < layout.ops && kind(erase_op) != 4) ++erase_op;
+  ASSERT_LT(erase_op, layout.ops) << "no erase slot";
+  const std::size_t erase_ppn = layout.op(erase_op) + 33;
+  ASSERT_EQ(read_u64_at(payload, erase_ppn), sim::kInvalidPpn);
+  expect_rejected(
+      payload, [&](auto& b) { write_u64_at(b, erase_ppn, 0); },
+      "names its block by address", erase_ppn);
+  expect_rejected(
+      payload, [&](auto& b) { write_u32_at(b, op + 85, 65'536); },
+      "read attempts", op + 85);
+  // GC churn's victims hold no live pages, so it never migrates. Random
+  // overwrites of a tiny device do; scan their pause points for a GC
+  // write slot.
+  ssd::SsdOptions tiny;
+  tiny.geometry = sim::Geometry::tiny();
+  std::vector<sim::IoRequest> overwrites;
+  Rng rng(42);
+  for (std::uint64_t i = 0; i < 600; ++i) {
+    sim::IoRequest r;
+    r.id = i;
+    r.type = sim::OpType::kWrite;
+    r.lpn = rng.next_below(32);
+    r.arrival = i * 1500 * kMicrosecond;
+    overwrites.push_back(r);
+  }
+  bool gc_write_seen = false;
+  for (std::uint64_t pause = 100; pause < 600 && !gc_write_seen; pause += 10) {
+    ssd::Ssd migrating(tiny);
+    migrating.set_tenant_channels(0, {0});
+    migrating.submit(overwrites);
+    migrating.run_until_arrival(pause);
+    const std::vector<char> bytes = payload_of(migrating);
+    const DeviceLayout tiny_layout = parse_device(bytes);
+    for (std::uint64_t id = 0; id < tiny_layout.ops && !gc_write_seen; ++id) {
+      const std::size_t at = tiny_layout.op(id);
+      if (bytes[at + 12] != 3) continue;
+      gc_write_seen = true;
+      expect_rejected(
+          bytes,
+          [&](auto& b) {
+            write_u64_at(b, at + 41, tiny.geometry.total_pages());
+          },
+          "migration source", at + 41);
+    }
+  }
+  EXPECT_TRUE(gc_write_seen) << "no pause point holds a GC write slot";
 
   // --- free list.
   ASSERT_GE(layout.free_len, 2u) << "no two free op slots";
@@ -873,6 +934,24 @@ TEST(DeviceSnapshot, RejectsResealedDeviceMutations) {
   expect_rejected(
       sched_bytes, [&](auto& b) { write_u32_at(b, item + 8, 0); },
       "zero pages", item + 8);
+  // Request 0 was admitted and is still in flight with every page
+  // remaining, so only its in-use ops show it started; queueing it again
+  // would admit it twice. So would a second item repeating the first
+  // one's request.
+  const std::size_t req0 = parse_device(sched_bytes).request(0);
+  ASSERT_NE(read_u64_at(sched_bytes, item), 0u);
+  ASSERT_EQ(read_u32_at(sched_bytes, req0 + 33),
+            read_u32_at(sched_bytes, req0 + 21))
+      << "request 0 has completed pages";
+  expect_rejected(
+      sched_bytes, [&](auto& b) { write_u64_at(b, item, 0); },
+      "already started", item);
+  ASSERT_GE(read_u64_at(sched_bytes, lane + 24), 2u);
+  const std::size_t second_item = item + 44;
+  expect_rejected(
+      sched_bytes,
+      [&](auto& b) { write_u64_at(b, second_item, read_u64_at(b, item)); },
+      "queued twice", second_item);
 }
 
 // Regression: the EVTQ loader took every pending event as given, and the

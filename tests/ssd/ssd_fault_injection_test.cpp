@@ -4,6 +4,9 @@
 // FaultModel seed.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "ssd/ssd.hpp"
@@ -248,6 +251,60 @@ TEST(SsdFaultInjection, EnduranceLimitRetiresCleanBlocks) {
       }
     }
   }
+}
+
+// Every FaultModel::validate rule, one broken field per case: the device
+// constructor refuses each model with std::invalid_argument. The two
+// retirement thresholds are checked only on an enabled model.
+TEST(SsdFaultInjection, RejectsInvalidModel) {
+  using Break = void (*)(sim::FaultModel&);
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const std::pair<const char*, Break> cases[] = {
+      {"read_ber < 0", [](sim::FaultModel& f) { f.read_ber = -0.1; }},
+      {"read_ber > 1", [](sim::FaultModel& f) { f.read_ber = 1.5; }},
+      {"read_ber NaN", [](sim::FaultModel& f) { f.read_ber = kNan; }},
+      {"read_ber_per_pe < 0",
+       [](sim::FaultModel& f) { f.read_ber_per_pe = -0.1; }},
+      {"read_ber_per_pe > 1",
+       [](sim::FaultModel& f) { f.read_ber_per_pe = 2.0; }},
+      {"read_ber_per_pe NaN",
+       [](sim::FaultModel& f) { f.read_ber_per_pe = kNan; }},
+      {"program_fail < 0", [](sim::FaultModel& f) { f.program_fail = -0.1; }},
+      {"program_fail = 1", [](sim::FaultModel& f) { f.program_fail = 1.0; }},
+      {"program_fail NaN", [](sim::FaultModel& f) { f.program_fail = kNan; }},
+      {"erase_fail < 0", [](sim::FaultModel& f) { f.erase_fail = -0.1; }},
+      {"erase_fail = 1", [](sim::FaultModel& f) { f.erase_fail = 1.0; }},
+      {"erase_fail NaN", [](sim::FaultModel& f) { f.erase_fail = kNan; }},
+      {"max_read_retries > 65535",
+       [](sim::FaultModel& f) { f.max_read_retries = 65536; }},
+      {"program_fails_to_retire = 0 (enabled)",
+       [](sim::FaultModel& f) {
+         f.read_ber = 0.01;
+         f.program_fails_to_retire = 0;
+       }},
+      {"erase_fails_to_retire = 0 (enabled)",
+       [](sim::FaultModel& f) {
+         f.max_pe_cycles = 10;
+         f.erase_fails_to_retire = 0;
+       }},
+  };
+  for (const auto& [name, breaks] : cases) {
+    SsdOptions options = tiny_options();
+    breaks(options.faults);
+    EXPECT_THROW(Ssd{options}, std::invalid_argument) << name;
+  }
+
+  // The boundaries themselves are valid: certain read failure (retries
+  // bound it), 65535 retries, and zero thresholds on a disabled model.
+  SsdOptions edge = tiny_options();
+  edge.faults.read_ber = 1.0;
+  edge.faults.read_ber_per_pe = 1.0;
+  edge.faults.max_read_retries = 65535;
+  EXPECT_NO_THROW(Ssd{edge});
+  SsdOptions disabled = tiny_options();
+  disabled.faults.program_fails_to_retire = 0;
+  disabled.faults.erase_fails_to_retire = 0;
+  EXPECT_NO_THROW(Ssd{disabled});
 }
 
 }  // namespace
