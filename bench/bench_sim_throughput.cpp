@@ -84,8 +84,7 @@ int main(int argc, char** argv) {
   std::printf("mix %u: %zu requests over %.2f s\n", mix, requests.size(),
               duration_s);
 
-  core::RunConfig config;
-  config.reserve_requests = requests.size();
+  const core::RunConfig config;
   const ReplayStats replay = replay_mix(requests, config, repeat);
   std::printf("replay: best %.3f s, %.0f requests/s, %.0f page-ops/s\n",
               replay.best_s, replay.requests_per_s, replay.events_per_s);

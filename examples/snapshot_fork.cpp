@@ -8,6 +8,9 @@
 // Usage: snapshot_fork [requests=20000] [rate=12000] [cut=0.5] [seed=1]
 //                      [snapshot=/tmp/snapshot_fork.ssdksnp] [audit=0]
 //
+// Exits 1 when the restored run's total differs from the uninterrupted
+// one.
+//
 // audit=N (N > 0) runs the device invariant auditor every N arrivals and
 // re-audits each device right after restore and after every fork — a
 // self-checking mode for exercising snapshot changes. The audit throws
@@ -92,9 +95,9 @@ int main(int argc, char** argv) {
   }
   restored->run_to_completion();
   const auto resumed = core::summarize(*restored);
+  const bool matches = resumed.total_us == baseline.total_us;
   std::printf("restored+resumed: %.1f us total (%s baseline)\n\n",
-              resumed.total_us,
-              resumed.total_us == baseline.total_us ? "matches" : "DIVERGES from");
+              resumed.total_us, matches ? "matches" : "DIVERGES from");
 
   // 3. What-if: fork the checkpoint per strategy and let each fork finish
   // the remaining trace under its own allocation. One warm-up, many
@@ -110,5 +113,6 @@ int main(int argc, char** argv) {
     std::printf("%-10s %12.1f\n", space.at(i).name().c_str(),
                 core::summarize(*fork).total_us);
   }
-  return 0;
+  // A restore that diverges from the uninterrupted run is a failure.
+  return matches ? 0 : 1;
 }

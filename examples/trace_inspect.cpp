@@ -118,7 +118,6 @@ int main(int argc, char** argv) {
         features.profiles(static_cast<std::uint32_t>(tenant_count));
     core::RunConfig config;
     config.tracer = &tracer;
-    config.reserve_requests = requests.size();
     run = core::run_with_strategy(requests, core::Strategy{}, profiles,
                                   config);
   }

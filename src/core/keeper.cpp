@@ -221,7 +221,6 @@ KeeperRunResult run_with_keeper(std::span<const sim::IoRequest> requests,
                                 telemetry::Tracer* tracer) {
   ssd::Ssd device(ssd_options);
   if (tracer) device.set_tracer(tracer);
-  device.reserve(requests.size());
   SsdKeeper keeper(allocator, keeper_config);
   keeper.attach(device);
   device.submit(requests);

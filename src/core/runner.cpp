@@ -36,8 +36,6 @@ std::unique_ptr<ssd::Ssd> make_run_device(
     // localize a corruption to a few thousand events.
     device->set_audit_interval(4096);
   }
-  device->reserve(config.reserve_requests ? config.reserve_requests
-                                          : requests.size());
   configure_ssd(*device, strategy, profiles, config.hybrid_page_allocation);
   if (config.warmup_fraction > 0.0 && !requests.empty()) {
     const SimTime first = requests.front().arrival;
@@ -136,7 +134,6 @@ std::map<sim::TenantId, double> isolated_baselines(
     RunConfig solo = config;
     solo.tracer = nullptr;           // baseline is a score, not a trace
     solo.ssd.sched = {};             // unshaped: FIFO, unlimited window
-    solo.reserve_requests = 0;
     const TenantProfile alone[] = {profile};
     // Strategy{} shares every channel, so the lone tenant sees the whole
     // device — the denominator of the paper-style slowdown ratio.

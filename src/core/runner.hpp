@@ -30,10 +30,6 @@ struct RunConfig {
   /// Optional lifecycle tracer (non-owning; must outlive the run). The
   /// device records per-request spans into it; nullptr = telemetry off.
   telemetry::Tracer* tracer = nullptr;
-  /// Capacity hint for the device's request table / op slab / event heap.
-  /// 0 = derive from the submitted span's size (the common case); set
-  /// explicitly when submitting incrementally or replaying a prefix.
-  std::size_t reserve_requests = 0;
   /// Audit the device invariants every N handled arrivals (see
   /// Ssd::set_audit_interval). 0 keeps the build's default: disabled in
   /// normal builds, every 4096 arrivals under SSDK_CHECKED. Audits never

@@ -152,13 +152,6 @@ std::optional<std::uint32_t> BlockManager::select_victim(
   return best;
 }
 
-std::vector<sim::Ppn> BlockManager::valid_pages(std::uint64_t plane_id,
-                                                std::uint32_t block) const {
-  std::vector<sim::Ppn> out;
-  valid_pages_into(plane_id, block, out);
-  return out;
-}
-
 void BlockManager::valid_pages_into(std::uint64_t plane_id,
                                     std::uint32_t block,
                                     std::vector<sim::Ppn>& out) const {

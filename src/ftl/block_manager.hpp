@@ -131,13 +131,9 @@ class BlockManager {
   /// reclaimable (invalid) page.
   std::optional<std::uint32_t> select_victim(std::uint64_t plane_id) const;
 
-  /// Valid PPNs remaining in a block (the pages GC must migrate).
-  std::vector<sim::Ppn> valid_pages(std::uint64_t plane_id,
-                                    std::uint32_t block) const;
-
-  /// Allocation-free variant: clears `out` and fills it with the block's
-  /// valid PPNs, reusing its capacity (the device's GC loop calls this
-  /// once per round with a scratch vector).
+  /// Valid PPNs remaining in a block (the pages GC must migrate): clears
+  /// `out` and fills it, reusing its capacity (the device's GC loop calls
+  /// this once per round with a scratch vector).
   void valid_pages_into(std::uint64_t plane_id, std::uint32_t block,
                         std::vector<sim::Ppn>& out) const;
 

@@ -175,11 +175,6 @@ std::optional<std::uint32_t> Ftl::select_victim(
   return victim;
 }
 
-std::vector<sim::Ppn> Ftl::valid_pages(std::uint64_t plane_id,
-                                       std::uint32_t block) const {
-  return blocks_.valid_pages(plane_id, block);
-}
-
 void Ftl::valid_pages_into(std::uint64_t plane_id, std::uint32_t block,
                            std::vector<sim::Ppn>& out) const {
   blocks_.valid_pages_into(plane_id, block, out);

@@ -107,9 +107,8 @@ class Ftl {
   bool needs_gc(std::uint64_t plane_id) const;
   bool gc_satisfied(std::uint64_t plane_id) const;
   std::optional<std::uint32_t> select_victim(std::uint64_t plane_id) const;
-  std::vector<sim::Ppn> valid_pages(std::uint64_t plane_id,
-                                    std::uint32_t block) const;
-  /// Allocation-free variant reusing `out`'s capacity (GC hot loop).
+  /// Clears `out` and fills it with the block's valid PPNs, reusing its
+  /// capacity (GC hot loop).
   void valid_pages_into(std::uint64_t plane_id, std::uint32_t block,
                         std::vector<sim::Ppn>& out) const;
 

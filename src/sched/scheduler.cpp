@@ -17,6 +17,10 @@ namespace {
 /// divisions stay exact integers for any weight the scale divides.
 constexpr std::uint64_t kWfqScale = 1ULL << 20;
 
+/// DRR: pages of credit a lane gains per round-robin visit, per unit of
+/// weight.
+constexpr std::uint64_t kDrrQuantumPages = 8;
+
 }  // namespace
 
 const char* policy_name(Policy policy) {
@@ -53,11 +57,6 @@ std::uint64_t SchedConfig::slo_target_us_of(sim::TenantId tenant) const {
 }
 
 void SchedConfig::validate() const {
-  if (drr_quantum_pages == 0) {
-    throw std::invalid_argument(
-        "sched: drr_quantum_pages must be positive (DRR would never "
-        "accumulate credit)");
-  }
   for (std::size_t i = 0; i < shares.size(); ++i) {
     if (shares[i].weight == 0) {
       throw std::invalid_argument("sched: tenant " +
@@ -151,7 +150,7 @@ std::size_t Scheduler::next_lane() {
       while (lanes_[t].q.empty()) t = (t + 1) % lanes_.size();
       Lane& lane = lanes_[t];
       if (lane.deficit >= lane.q.front().page_count) return t;
-      lane.deficit += std::uint64_t{config_.drr_quantum_pages} * weight(t);
+      lane.deficit += kDrrQuantumPages * weight(t);
       rr_cursor_ = static_cast<sim::TenantId>(t + 1);
     }
   }

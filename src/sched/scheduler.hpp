@@ -56,9 +56,6 @@ struct SchedConfig {
   /// arrives, which keeps FIFO bit-identical to the pre-scheduler device.
   /// A finite window is what lets the fair policies reorder admissions.
   std::uint32_t max_outstanding_requests = 0;
-  /// DRR: pages of credit added per round-robin visit, scaled by the
-  /// tenant's weight.
-  std::uint32_t drr_quantum_pages = 8;
   std::vector<TenantShare> shares;
 
   std::uint32_t weight_of(sim::TenantId tenant) const;
@@ -69,8 +66,8 @@ struct SchedConfig {
   bool schedule_neutral() const {
     return policy == Policy::kFifo && max_outstanding_requests == 0;
   }
-  /// Throws std::invalid_argument on zero weights, zero DRR quantum, or
-  /// duplicate tenant entries.
+  /// Throws std::invalid_argument on zero weights or duplicate tenant
+  /// entries.
   void validate() const;
 };
 

@@ -45,6 +45,7 @@ class SnapshotError : public std::runtime_error {
 class StateWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
+  void u16(std::uint16_t v) { put_le(v); }
   void u32(std::uint32_t v) { put_le(v); }
   void u64(std::uint64_t v) { put_le(v); }
   void i64(std::int64_t v) { put_le(static_cast<std::uint64_t>(v)); }
@@ -107,6 +108,7 @@ class StateReader {
     require(1, "u8");
     return static_cast<std::uint8_t>(data_[pos_++]);
   }
+  std::uint16_t u16() { return get_le<std::uint16_t>("u16"); }
   std::uint32_t u32() { return get_le<std::uint32_t>("u32"); }
   std::uint64_t u64() { return get_le<std::uint64_t>("u64"); }
   std::int64_t i64() {
@@ -208,8 +210,10 @@ class StateReader {
     require(sizeof(T), what);
     T v = 0;
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(static_cast<std::uint8_t>(data_[pos_ + i]))
-           << (8 * i);
+      // The cast back to T: a u16 operand is promoted to int.
+      v = static_cast<T>(
+          v | static_cast<T>(static_cast<std::uint8_t>(data_[pos_ + i]))
+                  << (8 * i));
     }
     pos_ += sizeof(T);
     return v;
@@ -234,7 +238,11 @@ inline constexpr char kSnapshotMagic[8] = {'S', 'S', 'D', 'K',
 // Version 4: BLKM stores opened blocks only, with owners for valid pages.
 // Version 5: L2PM stores 4-byte entries in whole 1024-entry spans.
 // Version 6: SCHD has one layout for every policy, a lane per tenant id.
-inline constexpr std::uint32_t kSnapshotVersion = 6;
+// Version 7: each device record is written once, at the width the device
+// holds it: OPSL lists the free slots as u32 ids and writes only the slots
+// in use; op queues hold u32 ids; REQS writes its tallies as their own
+// list; WBUF drops the map's insertion seqs; OPTS drops the DRR quantum.
+inline constexpr std::uint32_t kSnapshotVersion = 7;
 
 enum class PayloadKind : std::uint32_t {
   kDevice = 1,    ///< full SSD device state

@@ -19,7 +19,6 @@ void save_label_config(StateWriter& w, const core::LabelGenConfig& c) {
   save_options(w, c.run.ssd);
   w.boolean(c.run.hybrid_page_allocation);
   w.f64(c.run.warmup_fraction);
-  w.u64(c.run.reserve_requests);
   w.u32(c.features.max_tenants);
   w.u32(c.features.intensity_levels);
   w.f64(c.features.max_intensity_rps);

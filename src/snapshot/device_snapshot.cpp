@@ -58,7 +58,6 @@ void save_options(StateWriter& w, const ssd::SsdOptions& o) {
   // SCHD state section refuses to load under a different policy.
   w.u8(static_cast<std::uint8_t>(o.sched.policy));
   w.u32(o.sched.max_outstanding_requests);
-  w.u32(o.sched.drr_quantum_pages);
   w.u64(o.sched.shares.size());
   for (const auto& s : o.sched.shares) {
     w.u32(s.tenant);
@@ -117,7 +116,6 @@ ssd::SsdOptions load_options(StateReader& r) {
   }
   o.sched.policy = static_cast<sched::Policy>(policy);
   o.sched.max_outstanding_requests = r.u32();
-  o.sched.drr_quantum_pages = r.u32();
   const std::uint64_t n_shares = r.checked_count(4 + 4 + 8);
   o.sched.shares.clear();
   o.sched.shares.reserve(n_shares);

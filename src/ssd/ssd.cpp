@@ -11,12 +11,6 @@ namespace ssdk::ssd {
 using sim::EventKind;
 using sim::kNoOp;
 
-namespace {
-/// Borrowed top bit of a write-buffer seq value; marks "first FIFO
-/// occurrence already kept" during compaction.
-constexpr std::uint64_t kBufferKeptBit = 1ULL << 63;
-}  // namespace
-
 Ssd::Ssd(SsdOptions options)
     : options_(std::move(options)),
       units_per_channel_(options_.multiplane_program
@@ -55,11 +49,6 @@ Ssd::Ssd(SsdOptions options)
     buffer_.reserve(options_.write_buffer.capacity_pages);
     buffer_fifo_.reserve(2 * options_.write_buffer.capacity_pages);
   }
-}
-
-void Ssd::reserve(std::size_t request_count) {
-  requests_.reserve(requests_.size() + request_count);
-  events_.reserve(std::min<std::size_t>(2 * request_count, 4096));
 }
 
 // --- op slab ----------------------------------------------------------------
@@ -190,12 +179,7 @@ void Ssd::run_until_arrival(std::uint64_t request_index) {
       if (powered_off_) return;
       continue;
     }
-    const bool have_arrival = arrival_cursor_ < requests_.size();
-    const bool take_arrival =
-        have_arrival &&
-        (events_.empty() ||
-         requests_[arrival_cursor_].arrival <= events_.next_time());
-    if (take_arrival) {
+    if (arrival_next()) {
       // Stop *before* the target arrival is handled (and before now_
       // advances to it): everything ordered ahead of it has run, nothing
       // at or after it has — the exact cut a fork or snapshot wants.
@@ -360,7 +344,7 @@ bool Ssd::buffer_write(sim::TenantId tenant, std::uint64_t lpn) {
     return true;
   }
   if (buffer_.size() >= cfg.capacity_pages) return false;
-  buffer_.emplace(key, buffer_seq_++);
+  buffer_.emplace(key, false);
   buffer_fifo_.push_back(key);
   return true;
 }
@@ -384,20 +368,20 @@ void Ssd::maybe_compact_buffer_fifo() {
 void Ssd::compact_buffer_fifo() {
   // Keep only the first occurrence of each live key, in order — exactly
   // the entries lazy eviction would consume — by cycling the ring once.
-  // The seen-marker lives in the map values (kBufferKeptBit), so
-  // compaction allocates nothing.
+  // The seen-marker lives in the map values, so compaction allocates
+  // nothing.
   const std::size_t n = buffer_fifo_.size();
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t key = buffer_fifo_.front();
     buffer_fifo_.pop_front();
     const auto it = buffer_.find(key);
-    if (it == buffer_.end() || (it->second & kBufferKeptBit) != 0) continue;
-    it->second |= kBufferKeptBit;
+    if (it == buffer_.end() || it->second) continue;
+    it->second = true;
     buffer_fifo_.push_back(key);
   }
-  // ssdk-lint: allow(unordered-iter): clears one bit in every value;
-  // per-entry and idempotent, so hash order cannot affect the outcome.
-  for (auto& [key, seq] : buffer_) seq &= ~kBufferKeptBit;
+  // ssdk-lint: allow(unordered-iter): clears every marker; per-entry and
+  // idempotent, so hash order cannot affect the outcome.
+  for (auto& [key, kept] : buffer_) kept = false;
 }
 
 void Ssd::maybe_flush_buffer() {

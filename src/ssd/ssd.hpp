@@ -129,15 +129,10 @@ class Ssd {
 
   // --- request ingestion ----------------------------------------------------
 
-  /// Pre-size the request table (exactly `request_count` more records)
-  /// and the event heap for a trace of about `request_count` requests.
-  /// Optional — submit() grows the table geometrically on its own — and
-  /// additive across calls. The op slab is not reserved: it grows a
-  /// 256-record page at a time as ops go in flight, without copying.
-  void reserve(std::size_t request_count);
-
   /// Append requests (arrival times must be non-decreasing across all
-  /// submissions). Call run_to_completion() afterwards.
+  /// submissions). Call run_to_completion() afterwards. The span form
+  /// grows the request table geometrically, to exactly the span on a
+  /// fresh device.
   void submit(std::span<const sim::IoRequest> requests);
   void submit(const sim::IoRequest& request);
 
@@ -463,6 +458,14 @@ class Ssd {
   /// Queue-wait span from dispatch to first grant; skipped when zero.
   void trace_wait(const PageOp& op, std::uint64_t unit);
 
+  /// The run loop's next step is the arrival at the cursor, not the next
+  /// event: an arrival is pending and no event is due before it.
+  bool arrival_next() const {
+    return arrival_cursor_ < requests_.size() &&
+           (events_.empty() ||
+            requests_[arrival_cursor_].arrival <= events_.next_time());
+  }
+
   // Power-loss internals (ssd_power.cpp).
   /// Fires a scheduled cut when the run loop's next step is at/past the
   /// trigger; returns true when the cut fired (the loop re-evaluates).
@@ -673,7 +676,8 @@ class Ssd {
 
   /// Growth copies nothing and a fork copies only the pages in use; freed
   /// slots go on free_ops_. Slot ids are baked into queued op ids, so
-  /// OPSL serializes every slot, free ones included.
+  /// OPSL serializes the slot count and the free list with the slots in
+  /// use.
   OpSlab ops_;
   std::vector<OpId> free_ops_;
   /// Each op slot's OOB write sequence number, drawn at placement (host
@@ -691,11 +695,10 @@ class Ssd {
   // Write buffer: dirty (tenant, lpn) keys with FIFO eviction order.
   // The FIFO may hold stale keys (trimmed entries); they are skipped
   // lazily at eviction time and compacted away when they outnumber live
-  // ones. Map values are insertion seqs; compaction borrows their top bit
-  // as a seen-marker (kBufferKeptBit) so it needs no side allocation.
-  std::unordered_map<std::uint64_t, std::uint64_t> buffer_;  // key -> seq
+  // ones. Map values are compaction's seen-marker, false outside
+  // compact_buffer_fifo, so compaction needs no side allocation.
+  std::unordered_map<std::uint64_t, bool> buffer_;  // key -> kept
   KeyQueue buffer_fifo_;
-  std::uint64_t buffer_seq_ = 0;
   std::uint64_t buffer_hits_ = 0;
 
   // Power-loss state. flush_barriers_, powered_off_, cut_fired_ and

@@ -18,10 +18,6 @@ namespace ssdk::ssd {
 
 namespace {
 
-/// Mirrors the compaction seen-marker in ssd.cpp: outside
-/// compact_buffer_fifo the bit must never be set in a stored seq.
-constexpr std::uint64_t kBufferKeptBit = 1ULL << 63;
-
 std::string op_str(std::uint64_t op_id) {
   return "op " + std::to_string(op_id);
 }
@@ -199,14 +195,9 @@ void Ssd::check_invariants() const {
   std::sort(fifo_keys.begin(), fifo_keys.end());
   // ssdk-lint: allow(unordered-iter): membership audit; per-key checks are
   // independent, so visit order cannot affect the outcome.
-  for (const auto& [key, seq] : buffer_) {
-    SSDK_CHECK_MSG((seq & kBufferKeptBit) == 0,
-                   "ssd: buffer key " + std::to_string(key) +
-                       " left with the compaction marker set");
-    SSDK_CHECK_MSG(seq < buffer_seq_,
-                   "ssd: buffer key " + std::to_string(key) +
-                       " carries seq " + std::to_string(seq) +
-                       " >= next buffer seq");
+  for (const auto& [key, kept] : buffer_) {
+    SSDK_CHECK_MSG(!kept, "ssd: buffer key " + std::to_string(key) +
+                              " left with the compaction marker set");
     SSDK_CHECK_MSG(std::binary_search(fifo_keys.begin(), fifo_keys.end(), key),
                    "ssd: dirty buffer key " + std::to_string(key) +
                        " missing from the eviction FIFO");

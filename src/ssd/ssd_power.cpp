@@ -83,7 +83,7 @@ PowerLossReport Ssd::power_off() {
   std::map<sim::TenantId, std::uint64_t> lost;
   // ssdk-lint: allow(unordered-iter): counts accumulate into a sorted map
   // before any observable effect, so hash order cannot leak out.
-  for (const auto& [key, seq] : buffer_) {
+  for (const auto& [key, kept] : buffer_) {
     ++lost[static_cast<sim::TenantId>(key >> 40)];
   }
   for (const auto& [tenant, pages] : lost) {
@@ -110,8 +110,8 @@ PowerLossReport Ssd::power_off() {
   }
 
   // Wipe every volatile structure. Monotonic counters (next_enq_seq_,
-  // buffer_seq_, busy-time accumulators, metrics) survive: they are
-  // simulator bookkeeping, not device DRAM.
+  // busy-time accumulators, metrics) survive: they are simulator
+  // bookkeeping, not device DRAM.
   events_.clear();
   for (ChannelState& ch : channels_) {
     ch.bus_busy = false;
@@ -203,11 +203,7 @@ Duration Ssd::modeled_mount_ns(const ftl::RecoveryReport& rec) const {
 
 bool Ssd::maybe_fire_power_cut() {
   const sim::PowerModel& pm = options_.power;
-  const bool have_arrival = arrival_cursor_ < requests_.size();
-  const bool take_arrival =
-      have_arrival &&
-      (events_.empty() ||
-       requests_[arrival_cursor_].arrival <= events_.next_time());
+  const bool take_arrival = arrival_next();
   if (pm.cut_at_arrival != ~std::uint64_t{0}) {
     // Fire just before the nth arrival is handled, at its arrival time.
     if (!(take_arrival && arrival_cursor_ >= pm.cut_at_arrival)) {

@@ -2,14 +2,13 @@
 // mutable field, and a deep copy with the self-referential pointers fixed
 // up. Kept out of ssd.cpp so the event-loop hot path stays a focused read.
 //
-// Invariant both paths preserve: a restored/forked device is
-// *byte-equivalent* to the original — not merely behaviorally equal — so
+// Invariant both paths preserve: a restored/forked device saves to the
+// same bytes as the original — not merely behaviorally equal — and
 // replaying the remaining trace produces a bit-identical telemetry stream
 // (enforced by tests/snapshot/device_snapshot_test with first_divergence).
 #include "ssd/ssd.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -39,37 +38,36 @@ namespace {
       "snapshot: " + what + " at offset " + std::to_string(at), at);
 }
 
-/// Queues write 64-bit entries whatever their width in memory.
+/// Rings write their entries oldest first, at the width the device holds
+/// them: u32 op ids, u64 write-buffer keys.
 template <typename T>
 void save_ring(snapshot::StateWriter& w, const util::RingBuffer<T>& q) {
   w.u64(q.size());
-  for (std::size_t i = 0; i < q.size(); ++i) w.u64(q.at(i));
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    if constexpr (sizeof(T) == 4) {
+      w.u32(q.at(i));
+    } else {
+      w.u64(q.at(i));
+    }
+  }
 }
 
 /// Loads a ring; returns the offset of its count, so the caller can name
-/// entry k's offset (count + 8 + 8k) once the op slab is known.
+/// entry k's offset (count + 8 + k * sizeof(T)) once the op slab is known.
 template <typename T>
 std::uint64_t load_ring(snapshot::StateReader& r, util::RingBuffer<T>& q) {
   const std::uint64_t at = r.offset();
-  const std::uint64_t n = r.checked_count(8);
+  const std::uint64_t n = r.checked_count(sizeof(T));
   q.clear();
   q.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t v = r.u64();
-    if (v > std::numeric_limits<T>::max()) {
-      reject(at + 8 + 8 * i, "queue entry " + std::to_string(v) +
-                                 " does not fit its " +
-                                 std::to_string(8 * sizeof(T)) + "-bit slot");
+    if constexpr (sizeof(T) == 4) {
+      q.push_back(r.u32());
+    } else {
+      q.push_back(r.u64());
     }
-    q.push_back(static_cast<T>(v));
   }
   return at;
-}
-
-/// A 32-bit PPN field as the wire writes it: kInvalidPpn32 widens to
-/// kInvalidPpn.
-std::uint64_t widen(sim::Ppn32 ppn) {
-  return ppn == sim::kInvalidPpn32 ? sim::kInvalidPpn : ppn;
 }
 
 /// "request 7", "op 12": names an element in a rejection message.
@@ -77,16 +75,24 @@ std::string item(const char* kind, std::uint64_t index) {
   return std::string(kind) + " " + std::to_string(index);
 }
 
-/// Request `index`'s page count `field` must not exceed its page count.
-void require_within_pages(std::uint64_t at, std::uint64_t index,
-                          const char* field, std::uint32_t value,
-                          std::uint32_t page_count) {
+/// Reads request `index`'s count `field`, which must not exceed the
+/// request's page count.
+std::uint32_t read_within_pages(snapshot::StateReader& r, std::uint64_t index,
+                                const char* field, std::uint32_t page_count) {
+  const std::uint64_t at = r.offset();
+  const std::uint32_t value = r.u32();
   if (value > page_count) {
     reject(at, item("request", index) + " " + field + " " +
                    std::to_string(value) + " exceeds its " +
                    std::to_string(page_count) + " pages");
   }
+  return value;
 }
+
+/// Bytes of one in-use OPSL record without its OOB seq: u32 request,
+/// tenant, u8 kind, u32 ppn, migration source, job, u64 lpn, enqueue seq,
+/// dispatch time, u16 attempts.
+constexpr std::uint64_t kOpRecordBytes = 4 + 4 + 1 + 4 + 4 + 4 + 8 + 8 + 8 + 2;
 
 }  // namespace
 
@@ -121,16 +127,11 @@ void Ssd::save_state(snapshot::StateWriter& w) const {
   w.vec_u64(channel_busy_ns_);
   w.vec_u64(unit_busy_ns_);
 
-  // Host request table and arrival cursor.
+  // Host request table, the side tallies (usually none) and the arrival
+  // cursor.
   w.tag("REQS");
-  // Every request writes all nine fields; a count request_tallies_ never
-  // recorded is written as zero.
   w.u64(requests_.size());
-  for (std::size_t i = 0; i < requests_.size(); ++i) {
-    const RequestState& rs = requests_[i];
-    const RequestTally tallied = i < request_tallies_.size()
-                                     ? request_tallies_[i]
-                                     : RequestTally{};
+  for (const RequestState& rs : requests_) {
     w.u64(rs.id);
     w.u32(rs.tenant);
     w.u8(static_cast<std::uint8_t>(rs.type));
@@ -138,44 +139,38 @@ void Ssd::save_state(snapshot::StateWriter& w) const {
     w.u32(rs.page_count);
     w.u64(rs.arrival);
     w.u32(rs.remaining);
-    w.u32(tallied.failed);
-    w.u32(tallied.volatile_pages);
+  }
+  w.u64(request_tallies_.size());
+  for (const RequestTally& t : request_tallies_) {
+    w.u32(t.failed);
+    w.u32(t.volatile_pages);
   }
   w.u64(arrival_cursor_);
   w.u64(last_submitted_arrival_);
 
-  // Page-op slab (including free slots — slab indices are baked into
-  // queued op ids, so the layout must survive verbatim). The wire writes
-  // the record's 32-bit PPN twice: decoded into five address components,
-  // and widened to 64 bits like the request index, migration source and
-  // free-list ids. An erase writes kInvalidPpn, and a slot freed before
-  // placement (a trim, a buffer hit) zero components.
+  // Page-op slab. Queued op ids name slots, so the slot count and the free
+  // list (in pop order) are state; a free slot's fields are not, since
+  // alloc_op resets them, so only the slots in use are written, in id order.
   w.tag("OPSL");
   w.u64(ops_.size());
+  w.u64(free_ops_.size());
+  for (auto id = free_ops_.rbegin(); id != free_ops_.rend(); ++id) w.u32(*id);
+  const bool oob = ftl_.oob().enabled();
   for (std::size_t id = 0; id < ops_.size(); ++id) {
     const PageOp& op = ops_[id];
-    w.u64(op.request == kNoRequest32 ? kNoRequest : op.request);
+    if (!op.in_use) continue;
+    w.u32(op.request);
     w.u32(op.tenant);
     w.u8(static_cast<std::uint8_t>(op.kind));
-    const sim::PhysAddr addr =
-        op.ppn == sim::kInvalidPpn32 ? sim::PhysAddr{} : addr_of(op);
-    w.u32(addr.channel);
-    w.u32(addr.chip);
-    w.u32(addr.plane);
-    w.u32(addr.block);
-    w.u32(addr.page);
-    w.u64(op.kind == OpKind::kErase ? sim::kInvalidPpn : widen(op.ppn));
-    w.u64(widen(op.gc_src));
+    w.u32(op.ppn);
+    w.u32(op.gc_src);
     w.u32(op.gc_job);
     w.u64(op.lpn);
-    w.u64(id < op_oob_seqs_.size() ? op_oob_seqs_[id] : 0);
     w.u64(op.enq_seq);
     w.u64(op.dispatched_at);
-    w.u32(op.attempts);
-    w.boolean(op.in_use);
+    w.u16(op.attempts);
+    if (oob) w.u64(op_oob_seqs_[id]);
   }
-  w.u64(free_ops_.size());
-  for (const OpId id : free_ops_) w.u64(id);
   w.u64(next_enq_seq_);
 
   // GC job slab. gc_scratch_ is per-round scratch (cleared before each
@@ -192,23 +187,19 @@ void Ssd::save_state(snapshot::StateWriter& w) const {
   }
   w.vec_u32(gc_job_of_plane_);
 
-  // Write buffer. The map's iteration order is irrelevant on restore
-  // (lookups only — the FIFO ring alone decides eviction order), but it is
-  // serialized sorted by key so save(load(save(d))) is byte-identical: a
-  // reloaded unordered_map need not iterate in the order it was filled.
+  // Write buffer: the dirty keys, sorted so that save(load(save(d))) is
+  // byte-identical (a reloaded unordered_map need not iterate in the order
+  // it was filled), then the eviction FIFO, which alone decides eviction
+  // order.
   w.tag("WBUF");
-  // ssdk-lint: allow(unordered-iter): copies the whole map and sorts by
-  // key immediately below — the serialized order is hash-independent.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> entries(
-      buffer_.begin(), buffer_.end());
-  std::sort(entries.begin(), entries.end());
-  w.u64(entries.size());
-  for (const auto& [key, seq] : entries) {
-    w.u64(key);
-    w.u64(seq);
-  }
+  std::vector<std::uint64_t> keys;
+  keys.reserve(buffer_.size());
+  // ssdk-lint: allow(unordered-iter): collects the keys and sorts them
+  // immediately below — the serialized order is hash-independent.
+  for (const auto& [key, kept] : buffer_) keys.push_back(key);
+  std::sort(keys.begin(), keys.end());
+  w.vec_u64(keys);
   save_ring(w, buffer_fifo_);
-  w.u64(buffer_seq_);
   w.u64(buffer_hits_);
 
   // Metrics and fault RNG.
@@ -302,15 +293,13 @@ void Ssd::load_state(snapshot::StateReader& r) {
 
   r.tag("REQS");
   const std::uint64_t nreq_at = r.offset();
-  const std::uint64_t nreq =
-      r.checked_count(8 + 4 + 1 + 8 + 4 + 8 + 4 + 4 + 4);
+  const std::uint64_t nreq = r.checked_count(8 + 4 + 1 + 8 + 4 + 8 + 4);
   if (nreq > kNoRequest32) {
     // Page ops name their request in 32 bits, kNoRequest32 meaning none.
     reject(nreq_at, std::to_string(nreq) + " requests exceed the 2^32 - 1 "
                     "a page op can name");
   }
   requests_.assign(nreq, RequestState{});
-  request_tallies_.clear();
   for (std::uint64_t i = 0; i < nreq; ++i) {
     RequestState& rs = requests_[i];
     rs.id = r.u64();
@@ -333,23 +322,20 @@ void Ssd::load_state(snapshot::StateReader& r) {
       reject(pages_at, item("request", i) + " has zero pages");
     }
     rs.arrival = r.u64();
-    const std::uint64_t remaining_at = r.offset();
-    rs.remaining = r.u32();
-    require_within_pages(remaining_at, i, "remaining count", rs.remaining,
-                         rs.page_count);
-    RequestTally tallied;
-    const std::uint64_t failed_at = r.offset();
-    tallied.failed = r.u32();
-    require_within_pages(failed_at, i, "failed count", tallied.failed,
-                         rs.page_count);
-    const std::uint64_t volatile_at = r.offset();
-    tallied.volatile_pages = r.u32();
-    require_within_pages(volatile_at, i, "volatile page count",
-                         tallied.volatile_pages, rs.page_count);
-    if (tallied.failed != 0 || tallied.volatile_pages != 0) {
-      request_tallies_.resize(nreq);
-      request_tallies_[i] = tallied;
-    }
+    rs.remaining = read_within_pages(r, i, "remaining count", rs.page_count);
+  }
+  const std::uint64_t ntallies_at = r.offset();
+  const std::uint64_t ntallies = r.checked_count(4 + 4);
+  if (ntallies > nreq) {
+    reject(ntallies_at, std::to_string(ntallies) + " request tallies for a " +
+                            std::to_string(nreq) + "-entry request table");
+  }
+  request_tallies_.assign(ntallies, RequestTally{});
+  for (std::uint64_t i = 0; i < ntallies; ++i) {
+    const std::uint32_t pages = requests_[i].page_count;
+    request_tallies_[i].failed = read_within_pages(r, i, "failed count", pages);
+    request_tallies_[i].volatile_pages =
+        read_within_pages(r, i, "volatile page count", pages);
   }
   const std::uint64_t cursor_at = r.offset();
   arrival_cursor_ = r.u64();
@@ -361,12 +347,37 @@ void Ssd::load_state(snapshot::StateReader& r) {
   last_submitted_arrival_ = r.u64();
 
   r.tag("OPSL");
+  // A slot costs at least its 4-byte id on the free list.
   const std::uint64_t nops_at = r.offset();
-  const std::uint64_t nops = r.checked_count(8 + 4 + 1 + 5 * 4 + 8 + 8 + 4 +
-                                             8 + 8 + 8 + 8 + 4 + 1);
+  const std::uint64_t nops = r.checked_count(4);
   if (nops > kMaxOps) {
     reject(nops_at, std::to_string(nops) + " op slots exceed the 2^32 - 1 "
                     "an op id can name");
+  }
+  // alloc_op writes ops_[id] for every id it pops: each must be a slot of
+  // the slab, listed once. The wire lists them in pop order.
+  const std::uint64_t nfree = r.checked_count(4);
+  std::vector<std::uint8_t> is_free(nops, 0);
+  free_ops_.assign(nfree, 0);
+  for (std::uint64_t k = 0; k < nfree; ++k) {
+    const std::uint64_t at = r.offset();
+    const OpId id = r.u32();
+    if (id >= nops) {
+      reject(at, "free list names op " + std::to_string(id) + " outside the " +
+                     std::to_string(nops) + "-entry op slab");
+    }
+    if (is_free[id]) {
+      reject(at, "free list names op " + std::to_string(id) + " twice");
+    }
+    is_free[id] = 1;
+    free_ops_[nfree - 1 - k] = id;
+  }
+  const bool oob = ftl_.oob().enabled();
+  const std::uint64_t op_bytes = kOpRecordBytes + (oob ? 8 : 0);
+  if (nops - nfree > r.remaining() / op_bytes) {
+    reject(nops_at, std::to_string(nops - nfree) + " op slots in use need " +
+                        std::to_string(op_bytes) + " bytes each, only " +
+                        std::to_string(r.remaining()) + " bytes remain");
   }
   const auto& g = options_.geometry;
   // Job indices of in-use GC and erase ops, checked once GCJB is loaded.
@@ -377,142 +388,57 @@ void Ssd::load_state(snapshot::StateReader& r) {
   };
   std::vector<JobRef> job_refs;
   ops_.assign(nops, PageOp{});
-  op_oob_seqs_.clear();
-  if (ftl_.oob().enabled()) op_oob_seqs_.assign(nops, 0);
-  // Every field is checked before it is narrowed to the record's width,
-  // free slots included: a free slot keeps its last op's fields, and
-  // save(load(b)) must reproduce b.
+  op_oob_seqs_.assign(oob ? nops : 0, 0);
   for (std::uint64_t id = 0; id < nops; ++id) {
+    if (is_free[id]) continue;
     PageOp& op = ops_[id];
-    const std::uint64_t request_at = r.offset();
-    const std::uint64_t request = r.u64();
+    const std::uint64_t at = r.offset();
+    op.in_use = true;
+    op.request = r.u32();
     op.tenant = r.u32();
-    const std::uint64_t kind_at = r.offset();
     const std::uint8_t kind = r.u8();
     if (kind > static_cast<std::uint8_t>(OpKind::kFlushWrite)) {
-      reject(kind_at, item("op", id) + " kind byte " + std::to_string(kind) +
-                          " is not an OpKind");
+      reject(at + 8, item("op", id) + " kind byte " + std::to_string(kind) +
+                         " is not an OpKind");
     }
     op.kind = static_cast<OpKind>(kind);
-    // unit_of indexes units_, and the block and page pick flash state:
-    // every component must lie inside the geometry.
-    const auto component = [&](const char* field, std::uint32_t limit) {
-      const std::uint64_t at = r.offset();
-      const std::uint32_t v = r.u32();
-      if (v >= limit) {
-        reject(at, item("op", id) + " address " + field + " " +
-                       std::to_string(v) + " is outside the geometry's " +
-                       std::to_string(limit));
-      }
-      return v;
-    };
-    sim::PhysAddr addr;
-    addr.channel = component("channel", g.channels);
-    addr.chip = component("chip", g.chips_per_channel);
-    addr.plane = component("plane", g.planes_per_chip);
-    addr.block = component("block", g.blocks_per_plane);
-    const std::uint64_t page_at = r.offset();
-    addr.page = component("page", g.pages_per_block);
-    const std::uint64_t ppn_at = r.offset();
-    const sim::Ppn ppn = r.u64();
-    const std::uint64_t src_at = r.offset();
-    const sim::Ppn gc_src = r.u64();
-    const std::uint64_t job_at = r.offset();
+    op.ppn = r.u32();
+    op.gc_src = r.u32();
     op.gc_job = r.u32();
     op.lpn = r.u64();
-    const std::uint64_t seq_at = r.offset();
-    const std::uint64_t seq = r.u64();
     op.enq_seq = r.u64();
     op.dispatched_at = r.u64();
-    const std::uint64_t attempts_at = r.offset();
-    const std::uint32_t attempts = r.u32();
-    op.in_use = r.boolean();
+    op.attempts = r.u16();
+    if (oob) op_oob_seqs_[id] = r.u64();
 
+    // Every host op names its request; completion indexes the table.
     const bool host =
         op.kind == OpKind::kHostRead || op.kind == OpKind::kHostWrite;
-    if ((request != kNoRequest || (op.in_use && host)) && request >= nreq) {
-      reject(request_at, item("op", id) + " names request " +
-                             std::to_string(request) + " past the " +
-                             std::to_string(nreq) + "-entry request table");
+    if ((host || op.request != kNoRequest32) && op.request >= nreq) {
+      reject(at, item("op", id) + " names request " +
+                     std::to_string(op.request) + " past the " +
+                     std::to_string(nreq) + "-entry request table");
     }
-    op.request = request == kNoRequest ? kNoRequest32
-                                       : static_cast<std::uint32_t>(request);
-    // The record keeps one copy of the address, its PPN, so the wire's two
-    // copies must agree. An erase names its block by the components alone.
-    const sim::Ppn encoded = g.encode(addr);
-    if (op.kind == OpKind::kErase) {
-      if (ppn != sim::kInvalidPpn) {
-        reject(ppn_at, item("erase op", id) + " carries ppn " +
-                           std::to_string(ppn) + "; an erase names its "
-                           "block by address");
-      }
-      if (addr.page != 0) {
-        reject(page_at, item("erase op", id) + " address page " +
-                            std::to_string(addr.page) +
-                            " is not its block's first");
-      }
-      op.ppn = static_cast<sim::Ppn32>(encoded);
-    } else if (!op.in_use && ppn == sim::kInvalidPpn &&
-               addr == sim::PhysAddr{}) {
-      op.ppn = sim::kInvalidPpn32;  // freed before placement
-    } else if (ppn != encoded) {
-      reject(ppn_at, item("op", id) + " ppn " + std::to_string(ppn) +
-                         " disagrees with its address, ppn " +
-                         std::to_string(encoded));
-    } else {
-      op.ppn = static_cast<sim::Ppn32>(encoded);
-    }
-    const bool needs_src = op.in_use && op.kind == OpKind::kGcWrite;
-    if ((needs_src || gc_src != sim::kInvalidPpn) &&
-        gc_src >= g.total_pages()) {
-      reject(src_at, item("op", id) + " migration source " +
-                         std::to_string(gc_src) +
+    // The channel, unit, plane and block derive from the ppn.
+    if (op.ppn >= g.total_pages()) {
+      reject(at + 9, item("op", id) + " ppn " + std::to_string(op.ppn) +
                          " is outside the device's " +
                          std::to_string(g.total_pages()) + " pages");
     }
-    op.gc_src = gc_src == sim::kInvalidPpn ? sim::kInvalidPpn32
-                                           : static_cast<sim::Ppn32>(gc_src);
-    if (ftl_.oob().enabled()) {
-      op_oob_seqs_[id] = seq;
-    } else if (seq != 0) {
-      reject(seq_at, item("op", id) + " carries OOB seq " +
-                         std::to_string(seq) +
-                         " on a device without the power model");
+    if (op.kind == OpKind::kErase && g.decode(op.ppn).page != 0) {
+      reject(at + 9, item("erase op", id) + " ppn " + std::to_string(op.ppn) +
+                         " is not its block's first page");
     }
-    if (attempts > std::numeric_limits<std::uint16_t>::max()) {
-      reject(attempts_at, item("op", id) + " read attempts " +
-                              std::to_string(attempts) + " exceed 65535");
+    if (op.kind == OpKind::kGcWrite && op.gc_src >= g.total_pages()) {
+      reject(at + 13, item("op", id) + " migration source " +
+                          std::to_string(op.gc_src) +
+                          " is outside the device's " +
+                          std::to_string(g.total_pages()) + " pages");
     }
-    op.attempts = static_cast<std::uint16_t>(attempts);
-    if (op.in_use && (op.kind == OpKind::kGcRead ||
-                      op.kind == OpKind::kGcWrite ||
-                      op.kind == OpKind::kErase)) {
-      job_refs.push_back({id, op.gc_job, job_at});
+    if (op.kind == OpKind::kGcRead || op.kind == OpKind::kGcWrite ||
+        op.kind == OpKind::kErase) {
+      job_refs.push_back({id, op.gc_job, at + 17});
     }
-  }
-  const std::uint64_t free_at = r.offset();
-  const std::vector<std::uint64_t> free_ids = r.vec_u64();
-  // alloc_op writes ops_[id] for every id it pops: each must be a free
-  // slot of the slab, listed once.
-  free_ops_.clear();
-  free_ops_.reserve(free_ids.size());
-  std::vector<std::uint8_t> listed(nops, 0);
-  for (std::size_t k = 0; k < free_ids.size(); ++k) {
-    const std::uint64_t id = free_ids[k];
-    const std::uint64_t at = free_at + 8 + 8 * k;
-    if (id >= nops) {
-      reject(at, "free list names op " + std::to_string(id) +
-                     " outside the " + std::to_string(nops) +
-                     "-entry op slab");
-    }
-    if (ops_[id].in_use) {
-      reject(at, "free list names in-use op " + std::to_string(id));
-    }
-    if (listed[id]) {
-      reject(at, "free list names op " + std::to_string(id) + " twice");
-    }
-    listed[id] = 1;
-    free_ops_.push_back(static_cast<OpId>(id));
   }
   next_enq_seq_ = r.u64();
   // Every queued op id, and every op an event names, must be an in-use
@@ -529,7 +455,7 @@ void Ssd::load_state(snapshot::StateReader& r) {
   };
   for (const QueueAt& q : queues) {
     for (std::size_t k = 0; k < q.queue->size(); ++k) {
-      require_in_use(q.at + 8 + 8 * k, "op queue", q.queue->at(k));
+      require_in_use(q.at + 8 + 4 * k, "op queue", q.queue->at(k));
     }
   }
   // Event records: kind at +16, a at +17, b at +25.
@@ -612,16 +538,11 @@ void Ssd::load_state(snapshot::StateReader& r) {
   }
 
   r.tag("WBUF");
-  const std::uint64_t nbuf = r.checked_count(8 + 8);
+  const std::vector<std::uint64_t> keys = r.vec_u64();
   buffer_.clear();
-  buffer_.reserve(nbuf);
-  for (std::uint64_t i = 0; i < nbuf; ++i) {
-    const std::uint64_t key = r.u64();
-    const std::uint64_t seq = r.u64();
-    buffer_.emplace(key, seq);
-  }
+  buffer_.reserve(keys.size());
+  for (const std::uint64_t key : keys) buffer_.emplace(key, false);
   load_ring(r, buffer_fifo_);
-  buffer_seq_ = r.u64();
   buffer_hits_ = r.u64();
 
   metrics_.load_state(r);

@@ -74,7 +74,9 @@ TEST(BlockManager, VictimIsLeastValidFullBlock) {
   ASSERT_TRUE(victim.has_value());
   EXPECT_EQ(*victim, 1u);
   EXPECT_EQ(bm.valid_count(0, *victim), 4u);
-  EXPECT_EQ(bm.valid_pages(0, *victim).size(), 4u);
+  std::vector<sim::Ppn> survivors;
+  bm.valid_pages_into(0, *victim, survivors);
+  EXPECT_EQ(survivors.size(), 4u);
 }
 
 TEST(BlockManager, NoVictimWhenAllFullyValid) {

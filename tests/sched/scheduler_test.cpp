@@ -33,10 +33,6 @@ TEST(SchedPolicy, NamesRoundTrip) {
 
 TEST(SchedConfigValidate, RejectsBadShares) {
   SchedConfig config;
-  config.drr_quantum_pages = 0;
-  EXPECT_THROW(config.validate(), std::invalid_argument);
-
-  config = SchedConfig{};
   config.shares.push_back({.tenant = 0, .weight = 0});
   EXPECT_THROW(config.validate(), std::invalid_argument);
 
@@ -149,12 +145,11 @@ TEST(SchedWfq, EqualWeightsAlternate) {
 TEST(SchedDrr, QuantumServesBursts) {
   SchedConfig config;
   config.policy = Policy::kDrr;
-  config.drr_quantum_pages = 2;
   auto s = make_scheduler(config);
-  for (std::uint64_t i = 0; i < 4; ++i) s->enqueue(i, 0, 1, 0);
-  for (std::uint64_t i = 4; i < 8; ++i) s->enqueue(i, 1, 1, 0);
-  // Two pages of credit per visit, one-page requests: each tenant serves
-  // a burst of two before the cursor moves on.
+  for (std::uint64_t i = 0; i < 4; ++i) s->enqueue(i, 0, 4, 0);
+  for (std::uint64_t i = 4; i < 8; ++i) s->enqueue(i, 1, 4, 0);
+  // Eight pages of credit per visit, four-page requests: each tenant
+  // serves a burst of two before the cursor moves on.
   EXPECT_EQ(drain(*s),
             (std::vector<sim::TenantId>{0, 0, 1, 1, 0, 0, 1, 1}));
 }
@@ -162,7 +157,6 @@ TEST(SchedDrr, QuantumServesBursts) {
 TEST(SchedDrr, EmptiedQueueForfeitsCredit) {
   SchedConfig config;
   config.policy = Policy::kDrr;
-  config.drr_quantum_pages = 8;
   auto s = make_scheduler(config);
   s->enqueue(0, 0, 1, 0);
   s->enqueue(1, 1, 1, 0);

@@ -17,6 +17,7 @@ namespace {
 TEST(Archive, ScalarRoundTrip) {
   StateWriter w;
   w.u8(0xAB);
+  w.u16(0xBEEF);
   w.u32(0xDEADBEEF);
   w.u64(0x0123456789ABCDEFULL);
   w.i64(-42);
@@ -27,6 +28,7 @@ TEST(Archive, ScalarRoundTrip) {
 
   StateReader r(w.buffer());
   EXPECT_EQ(r.u8(), 0xAB);
+  EXPECT_EQ(r.u16(), 0xBEEF);
   EXPECT_EQ(r.u32(), 0xDEADBEEFu);
   EXPECT_EQ(r.u64(), 0x0123456789ABCDEFULL);
   EXPECT_EQ(r.i64(), -42);

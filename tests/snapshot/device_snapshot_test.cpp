@@ -28,7 +28,6 @@
 #include "telemetry/binary_trace.hpp"
 #include "telemetry/tracer.hpp"
 #include "trace/catalog.hpp"
-#include "util/rng.hpp"
 
 namespace ssdk {
 namespace {
@@ -589,21 +588,28 @@ TEST(DeviceSnapshot, RejectsResealedFtlMutations) {
 /// Byte offsets of the device-level fields (layouts in
 /// src/ssd/ssd_snapshot.cpp, Ssd::save_state).
 struct DeviceLayout {
-  static constexpr std::size_t kRequestBytes = 45;
-  static constexpr std::size_t kOpBytes = 90;
+  static constexpr std::size_t kRequestBytes = 37;
+  static constexpr std::size_t kTallyBytes = 8;
   static constexpr std::size_t kJobBytes = 19;
   struct Queue {
-    std::size_t count_at;  ///< u64 length, then u64 op ids
+    std::size_t count_at;  ///< u64 length, then u32 op ids
     std::uint64_t length;
   };
   std::vector<Queue> queues;  ///< channel read_q, then unit queues
   std::size_t busy_at[2] = {0, 0};  ///< u64 length of channel, unit times
   std::size_t requests_at = 0;
   std::uint64_t requests = 0;
-  std::size_t ops_at = 0;
+  std::size_t tallies_at = 0;  ///< u64 length, then u32 failed, volatile
+  std::uint64_t tallies = 0;
+  std::size_t ops_at = 0;  ///< u64 slot count
   std::uint64_t ops = 0;
-  std::size_t free_at = 0;  ///< u64 length, then u64 ids
+  std::size_t free_at = 0;  ///< u64 length, then u32 ids in pop order
   std::uint64_t free_len = 0;
+  /// Record offset of each slot in use, in id order. A record holds u32
+  /// request +0, u32 tenant +4, u8 kind +8, u32 ppn +9, u32 migration
+  /// source +13, u32 job +17, u64 lpn, enqueue seq and dispatch time, u16
+  /// attempts, and on a power-model device the u64 OOB seq.
+  std::map<std::uint64_t, std::size_t> op_records;
   std::size_t jobs_at = 0;
   std::uint64_t jobs = 0;
   std::size_t barriers_at = 0;
@@ -612,7 +618,9 @@ struct DeviceLayout {
   std::size_t request(std::uint64_t i) const {
     return requests_at + kRequestBytes * i;
   }
-  std::size_t op(std::uint64_t i) const { return ops_at + kOpBytes * i; }
+  std::size_t tally(std::uint64_t i) const {
+    return tallies_at + 8 + kTallyBytes * i;
+  }
   std::size_t job(std::uint64_t j) const { return jobs_at + kJobBytes * j; }
 };
 
@@ -622,13 +630,16 @@ std::size_t find_tag_from(const std::vector<char>& payload, const char* tag,
   return from;
 }
 
-DeviceLayout parse_device(const std::vector<char>& payload) {
+/// `power`: the device runs the power model, so each op record carries
+/// its OOB seq.
+DeviceLayout parse_device(const std::vector<char>& payload,
+                          bool power = false) {
   DeviceLayout layout;
   std::size_t pos = find_tag_from(payload, "CHNL", 0) + 4;
   const auto ring = [&] {
     const std::uint64_t n = read_u64_at(payload, pos);
     layout.queues.push_back({pos, n});
-    pos += 8 + 8 * n;
+    pos += 8 + 4 * n;
   };
   const std::uint64_t channels = read_u64_at(payload, pos);
   pos += 8;
@@ -653,13 +664,25 @@ DeviceLayout parse_device(const std::vector<char>& payload) {
   pos += 4;  // REQS
   layout.requests = read_u64_at(payload, pos);
   layout.requests_at = pos + 8;
-  pos = layout.request(layout.requests) + 8 + 8;  // cursor, last arrival
+  layout.tallies_at = layout.request(layout.requests);
+  layout.tallies = read_u64_at(payload, layout.tallies_at);
+  pos = layout.tally(layout.tallies) + 8 + 8;  // cursor, last arrival
   pos += 4;  // OPSL
+  layout.ops_at = pos;
   layout.ops = read_u64_at(payload, pos);
-  layout.ops_at = pos + 8;
-  layout.free_at = layout.op(layout.ops);
+  layout.free_at = pos + 8;
   layout.free_len = read_u64_at(payload, layout.free_at);
-  pos = layout.free_at + 8 + 8 * layout.free_len + 8;  // next_enq_seq
+  std::vector<bool> free(layout.ops, false);
+  for (std::uint64_t k = 0; k < layout.free_len; ++k) {
+    free[read_u32_at(payload, layout.free_at + 8 + 4 * k)] = true;
+  }
+  pos = layout.free_at + 8 + 4 * layout.free_len;
+  for (std::uint64_t id = 0; id < layout.ops; ++id) {
+    if (free[id]) continue;
+    layout.op_records[id] = pos;
+    pos += 47 + (power ? 8 : 0);
+  }
+  pos += 8;  // next_enq_seq
   pos += 4;  // GCJB
   layout.jobs = read_u64_at(payload, pos);
   layout.jobs_at = pos + 8;
@@ -680,12 +703,11 @@ DeviceLayout parse_device(const std::vector<char>& payload) {
 // a SCHD item naming an unarrived request (request 10^9 made admission
 // read past the request table) or zero pages, and one naming an in-flight
 // request or repeating another item's request (the replay then left one
-// request incomplete forever). The OPSL ppn, erase ppn, migration source
-// and attempts fields were read unchecked; the record now derives its
-// address from a 32-bit ppn and counts attempts in 16 bits.
+// request incomplete forever). The OPSL ppn and migration source were read
+// unchecked; the channel, unit, plane and block derive from the ppn.
 TEST(DeviceSnapshot, RejectsResealedDeviceMutations) {
-  // GC churn at its midpoint: in-flight host and GC ops, queued ops, free
-  // op slots and active GC jobs.
+  // GC churn at its midpoint: in-flight host ops and an erase, queued
+  // ops, free op slots and active GC jobs.
   const testing::GoldenRecipe recipe = testing::golden_gc_churn();
   const sim::Geometry& geometry = recipe.config.ssd.geometry;
   const auto device = device_at(recipe.requests, recipe.tenants,
@@ -721,124 +743,98 @@ TEST(DeviceSnapshot, RejectsResealedDeviceMutations) {
   expect_rejected(
       payload, [&](auto& b) { write_u32_at(b, req + 21, 0); }, "zero pages",
       req + 21);
-  for (const auto& [field, at] :
-       {std::pair{"remaining count", req + 33},
-        std::pair{"failed count", req + 37},
-        std::pair{"volatile page count", req + 41}}) {
-    expect_rejected(
-        payload, [&](auto& b) { write_u32_at(b, at, pages + 1); }, field, at);
-  }
-
-  // --- OPSL: the slab holds in-use host and GC ops and free slots.
-  const auto in_use = [&](std::uint64_t id) {
-    return payload[layout.op(id) + 89] != 0;
-  };
-  const auto kind = [&](std::uint64_t id) {
-    return static_cast<std::uint8_t>(payload[layout.op(id) + 12]);
-  };
-  std::uint64_t host_op = layout.ops, gc_op = layout.ops;
-  for (std::uint64_t id = 0; id < layout.ops; ++id) {
-    if (!in_use(id)) continue;
-    if (kind(id) <= 1 && host_op == layout.ops) host_op = id;
-    if (kind(id) >= 2 && kind(id) <= 4 && gc_op == layout.ops) gc_op = id;
-  }
-  ASSERT_LT(host_op, layout.ops) << "no in-use host op";
-  ASSERT_LT(gc_op, layout.ops) << "no in-use GC or erase op";
-  const std::size_t op = layout.op(host_op);
   expect_rejected(
-      payload, [&](auto& b) { b[op + 12] = 6; }, "not an OpKind", op + 12);
-  const std::pair<const char*, std::uint32_t> components[] = {
-      {"address channel", geometry.channels},
-      {"address chip", geometry.chips_per_channel},
-      {"address plane", geometry.planes_per_chip},
-      {"address block", geometry.blocks_per_plane},
-      {"address page", geometry.pages_per_block}};
-  for (std::size_t k = 0; k < 5; ++k) {
-    const std::size_t at = op + 13 + 4 * k;
-    expect_rejected(
-        payload, [&](auto& b) { write_u32_at(b, at, components[k].second); },
-        components[k].first, at);
-  }
-  expect_rejected(
-      payload, [&](auto& b) { write_u64_at(b, op, layout.requests); },
-      "names request", op);
-  const std::size_t job_field = layout.op(gc_op) + 49;
+      payload, [&](auto& b) { write_u32_at(b, req + 33, pages + 1); },
+      "remaining count", req + 33);
+  // GC churn records no tallies, and the tally list may not outgrow the
+  // request table: give it one zero tally more than there are requests.
+  ASSERT_EQ(layout.tallies, 0u);
   expect_rejected(
       payload,
       [&](auto& b) {
-        write_u32_at(b, job_field, static_cast<std::uint32_t>(layout.jobs));
+        write_u64_at(b, layout.tallies_at, layout.requests + 1);
+        const auto end = b.begin() +
+                         static_cast<std::ptrdiff_t>(layout.tallies_at + 8);
+        b.insert(end, DeviceLayout::kTallyBytes * (layout.requests + 1), 0);
       },
-      "names gc job", job_field);
-  // The record keeps one copy of the address, its PPN: the wire's ppn
-  // (+33) must encode the five components, an erase slot names its block
-  // by the components alone, a migration source (+41) must be a page of
-  // the device, and read attempts (+85) must fit 16 bits. Free slots keep
-  // their last op's fields, so any slot of a kind will do.
+      "request tallies for", layout.tallies_at);
+
+  // --- OPSL: the slots in use hold host ops and an erase.
+  std::uint64_t host_op = layout.ops, erase_op = layout.ops;
+  for (const auto& [id, at] : layout.op_records) {
+    const auto kind = static_cast<std::uint8_t>(payload[at + 8]);
+    if (kind <= 1 && host_op == layout.ops) host_op = id;
+    if (kind == 4 && erase_op == layout.ops) erase_op = id;
+  }
+  ASSERT_LT(host_op, layout.ops) << "no in-use host op";
+  ASSERT_LT(erase_op, layout.ops) << "no in-use erase op";
+  const std::size_t op = layout.op_records.at(host_op);
+  expect_rejected(
+      payload, [&](auto& b) { b[op + 8] = 6; }, "not an OpKind", op + 8);
   expect_rejected(
       payload,
-      [&](auto& b) { write_u64_at(b, op + 33, read_u64_at(b, op + 33) ^ 1); },
-      "disagrees with its address", op + 33);
-  std::uint64_t erase_op = 0;
-  while (erase_op < layout.ops && kind(erase_op) != 4) ++erase_op;
-  ASSERT_LT(erase_op, layout.ops) << "no erase slot";
-  const std::size_t erase_ppn = layout.op(erase_op) + 33;
-  ASSERT_EQ(read_u64_at(payload, erase_ppn), sim::kInvalidPpn);
+      [&](auto& b) {
+        write_u32_at(b, op, static_cast<std::uint32_t>(layout.requests));
+      },
+      "names request", op);
+  // The channel, unit, plane and block derive from the ppn (+9): it must
+  // be a page of the device, and an erase's must be its block's first.
+  const auto pages_total = static_cast<std::uint32_t>(geometry.total_pages());
   expect_rejected(
-      payload, [&](auto& b) { write_u64_at(b, erase_ppn, 0); },
-      "names its block by address", erase_ppn);
+      payload, [&](auto& b) { write_u32_at(b, op + 9, pages_total); },
+      "outside the device's", op + 9);
+  const std::size_t erase = layout.op_records.at(erase_op);
   expect_rejected(
-      payload, [&](auto& b) { write_u32_at(b, op + 85, 65'536); },
-      "read attempts", op + 85);
-  // GC churn's victims hold no live pages, so it never migrates. Random
-  // overwrites of a tiny device do; scan their pause points for a GC
-  // write slot.
-  ssd::SsdOptions tiny;
-  tiny.geometry = sim::Geometry::tiny();
-  std::vector<sim::IoRequest> overwrites;
-  Rng rng(42);
-  for (std::uint64_t i = 0; i < 600; ++i) {
-    sim::IoRequest r;
-    r.id = i;
-    r.type = sim::OpType::kWrite;
-    r.lpn = rng.next_below(32);
-    r.arrival = i * 1500 * kMicrosecond;
-    overwrites.push_back(r);
+      payload,
+      [&](auto& b) {
+        write_u32_at(b, erase + 9, read_u32_at(b, erase + 9) + 1);
+      },
+      "not its block's first page", erase + 9);
+  expect_rejected(
+      payload,
+      [&](auto& b) {
+        write_u32_at(b, erase + 17, static_cast<std::uint32_t>(layout.jobs));
+      },
+      "names gc job", erase + 17);
+  // The records of the slots in use must fit the rest of the payload
+  // before the slab is allocated.
+  expect_rejected(
+      payload,
+      [&](auto& b) {
+        write_u64_at(b, layout.ops_at,
+                     layout.ops + (b.size() - layout.ops_at) / 8);
+      },
+      "op slots in use need", layout.ops_at);
+  // golden_gc_migrate's midpoint holds GC writes in flight: a migration
+  // source (+13) must be a page of the device.
+  const testing::GoldenRecipe migrate = testing::golden_gc_migrate();
+  const auto migrating = device_at(migrate.requests, migrate.tenants,
+                                   migrate.config, migrate.requests.size() / 2);
+  const std::vector<char> migrate_payload = payload_of(*migrating);
+  std::size_t gc_write = 0;
+  for (const auto& [id, at] : parse_device(migrate_payload).op_records) {
+    if (migrate_payload[at + 8] == 3 && gc_write == 0) gc_write = at;
   }
-  bool gc_write_seen = false;
-  for (std::uint64_t pause = 100; pause < 600 && !gc_write_seen; pause += 10) {
-    ssd::Ssd migrating(tiny);
-    migrating.set_tenant_channels(0, {0});
-    migrating.submit(overwrites);
-    migrating.run_until_arrival(pause);
-    const std::vector<char> bytes = payload_of(migrating);
-    const DeviceLayout tiny_layout = parse_device(bytes);
-    for (std::uint64_t id = 0; id < tiny_layout.ops && !gc_write_seen; ++id) {
-      const std::size_t at = tiny_layout.op(id);
-      if (bytes[at + 12] != 3) continue;
-      gc_write_seen = true;
-      expect_rejected(
-          bytes,
-          [&](auto& b) {
-            write_u64_at(b, at + 41, tiny.geometry.total_pages());
-          },
-          "migration source", at + 41);
-    }
-  }
-  EXPECT_TRUE(gc_write_seen) << "no pause point holds a GC write slot";
+  ASSERT_NE(gc_write, 0u) << "no GC write in flight";
+  ASSERT_EQ(migrate.config.ssd.geometry.total_pages(), pages_total);
+  expect_rejected(
+      migrate_payload,
+      [&](auto& b) { write_u32_at(b, gc_write + 13, pages_total); },
+      "migration source", gc_write + 13);
 
-  // --- free list.
+  // --- free list, in pop order.
   ASSERT_GE(layout.free_len, 2u) << "no two free op slots";
   const std::size_t free0 = layout.free_at + 8;
-  const std::uint64_t free_id = read_u64_at(payload, free0);
+  const std::uint32_t free_id = read_u32_at(payload, free0);
   expect_rejected(
-      payload, [&](auto& b) { write_u64_at(b, free0, layout.ops); },
+      payload,
+      [&](auto& b) {
+        write_u32_at(b, free0, static_cast<std::uint32_t>(layout.ops));
+      },
       "outside the", free0);
   expect_rejected(
-      payload, [&](auto& b) { write_u64_at(b, free0, host_op); },
-      "in-use op", free0);
-  expect_rejected(
-      payload, [&](auto& b) { write_u64_at(b, free0 + 8, free_id); }, "twice",
-      free0 + 8);
+      payload, [&](auto& b) { write_u32_at(b, free0 + 4, free_id); }, "twice",
+      free0 + 4);
 
   // --- op queues: a non-front entry of some queue.
   const DeviceLayout::Queue* queue = nullptr;
@@ -846,12 +842,15 @@ TEST(DeviceSnapshot, RejectsResealedDeviceMutations) {
     if (q.length >= 2) queue = &q;
   }
   ASSERT_NE(queue, nullptr) << "no op queue holds two entries";
-  const std::size_t second = queue->count_at + 8 + 8;
+  const std::size_t second = queue->count_at + 8 + 4;
   expect_rejected(
-      payload, [&](auto& b) { write_u64_at(b, second, layout.ops); },
+      payload,
+      [&](auto& b) {
+        write_u32_at(b, second, static_cast<std::uint32_t>(layout.ops));
+      },
       "op queue names op", second);
   expect_rejected(
-      payload, [&](auto& b) { write_u64_at(b, second, free_id); },
+      payload, [&](auto& b) { write_u32_at(b, second, free_id); },
       "free op slot", second);
 
   // --- GCJB: job 0.
@@ -867,7 +866,8 @@ TEST(DeviceSnapshot, RejectsResealedDeviceMutations) {
       "victim block", job + 8);
 
   // --- PWRS: a flush barrier lives between a flush's arrival and its last
-  // fenced program; scan pause points of a flushing workload for one.
+  // fenced program; scan pause points of a flushing workload for one. Its
+  // buffered writes also record volatile page counts in the REQS tallies.
   ssd::SsdOptions powered;
   powered.geometry = sim::Geometry::tiny();
   powered.power.enabled = true;
@@ -887,7 +887,7 @@ TEST(DeviceSnapshot, RejectsResealedDeviceMutations) {
     flusher.submit(flushing);
     flusher.run_until_arrival(pause);
     const std::vector<char> bytes = payload_of(flusher);
-    const DeviceLayout flush_layout = parse_device(bytes);
+    const DeviceLayout flush_layout = parse_device(bytes, true);
     if (flush_layout.barriers == 0) continue;
     barrier_seen = true;
     ASSERT_NO_THROW(snapshot::load_device(snapshot::save_device(flusher)));
@@ -895,6 +895,16 @@ TEST(DeviceSnapshot, RejectsResealedDeviceMutations) {
     expect_rejected(
         bytes, [&](auto& b) { write_u64_at(b, at, flush_layout.requests); },
         "flush barrier 0 names request", at);
+    ASSERT_GT(flush_layout.tallies, 0u);
+    const std::uint32_t pages0 =
+        read_u32_at(bytes, flush_layout.request(0) + 21);
+    for (const auto& [field, tally_at] :
+         {std::pair{"failed count", flush_layout.tally(0)},
+          std::pair{"volatile page count", flush_layout.tally(0) + 4}}) {
+      expect_rejected(
+          bytes, [&](auto& b) { write_u32_at(b, tally_at, pages0 + 1); },
+          field, tally_at);
+    }
   }
   EXPECT_TRUE(barrier_seen) << "no pause point holds a live flush barrier";
 
@@ -1027,7 +1037,7 @@ TEST(DeviceSnapshot, RejectsResealedEventAndOptionMutations) {
 
     // Payloads of the first event of each kind.
     const std::uint64_t free_id =
-        layout.free_len > 0 ? read_u64_at(payload, layout.free_at + 8)
+        layout.free_len > 0 ? read_u32_at(payload, layout.free_at + 8)
                             : layout.ops;
     for (std::uint64_t i = 0; i < count; ++i) {
       const std::size_t at = event(i);
@@ -1072,10 +1082,10 @@ TEST(DeviceSnapshot, RejectsResealedEventAndOptionMutations) {
       }
     }
 
-    // --- OPTS: the policy byte sits before the max-outstanding and DRR
-    // quantum u32s, the u64 share count and 16 bytes per share.
+    // --- OPTS: the policy byte sits before the max-outstanding u32, the
+    // u64 share count and 16 bytes per share.
     const std::size_t policy_at =
-        find_tag_from(payload, "SSD_", 0) - (4 + 4 + 8) -
+        find_tag_from(payload, "SSD_", 0) - (4 + 8) -
         16 * device->options().sched.shares.size() - 1;
     expect_rejected(
         payload, [&](auto& b) { b[policy_at] = 9; }, "not a policy",
@@ -1120,9 +1130,10 @@ TEST(DeviceSnapshot, L2pmStoresFourBytesPerEntry) {
 TEST(DeviceSnapshot, RefusesVersion4Container) {
   const ssd::Ssd device{ssd::SsdOptions{}};
   const std::vector<char> saved = snapshot::save_device(device);
-  ASSERT_EQ(read_u32_at(saved, 8), 6u);  // version follows the magic
-  // Version 5 carried the per-policy SCHD layouts.
-  for (const std::uint32_t version : {4u, 5u}) {
+  ASSERT_EQ(read_u32_at(saved, 8), 7u);  // version follows the magic
+  // Version 5 carried the per-policy SCHD layouts, version 6 every op slot
+  // with its address written twice.
+  for (const std::uint32_t version : {4u, 5u, 6u}) {
     std::vector<char> bytes = saved;
     write_u32_at(bytes, 8, version);
     try {

@@ -9,7 +9,9 @@
 // regenerate them from a known-good build instead of editing in place.
 #pragma once
 
+#include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/features.hpp"
@@ -28,6 +30,13 @@ struct GoldenRecipe {
   std::uint32_t tenants = 4;
   core::RunConfig config;
 };
+
+/// gtest prints a test's parameter next to its name; printing the recipe's
+/// name keeps the ctest names the same from build to build, where the
+/// default printer dumps the object's bytes, heap addresses included.
+inline void PrintTo(const GoldenRecipe& recipe, std::ostream* os) {
+  *os << recipe.name;
+}
 
 /// Scenario A: catalog Mix 1 on the default device (static allocation,
 /// read priority, no write buffer). Covers the plain dispatch path.
@@ -54,12 +63,12 @@ inline GoldenRecipe golden_mix2_buffered() {
   return r;
 }
 
-/// Scenario C: overwrite-heavy synthetic stream on a deliberately tiny
-/// geometry so garbage collection runs many rounds. Covers victim
-/// selection, migration reads/programs and erase scheduling.
-inline GoldenRecipe golden_gc_churn() {
+/// Scenario C's overwrite-heavy single-tenant stream over
+/// `address_space_pages` LPNs, on a tiny two-channel device.
+inline GoldenRecipe gc_churn_recipe(std::string name,
+                                    std::uint64_t address_space_pages) {
   GoldenRecipe r;
-  r.name = "golden_gc_churn";
+  r.name = std::move(name);
   trace::SyntheticSpec spec;
   spec.name = "gc_churn";
   spec.write_fraction = 0.9;
@@ -67,7 +76,7 @@ inline GoldenRecipe golden_gc_churn() {
   spec.intensity_rps = 4'000.0;
   spec.mean_request_pages = 2.0;
   spec.max_request_pages = 8;
-  spec.address_space_pages = 128;
+  spec.address_space_pages = address_space_pages;
   spec.zipf_theta = 0.3;
   spec.sequential_fraction = 0.2;
   spec.seed = 7;
@@ -80,6 +89,14 @@ inline GoldenRecipe golden_gc_churn() {
   r.config.ssd.geometry.blocks_per_plane = 16;
   r.config.ssd.geometry.pages_per_block = 16;
   return r;
+}
+
+/// Scenario C: overwrite-heavy synthetic stream on a deliberately tiny
+/// geometry so garbage collection runs many rounds. Covers victim
+/// selection and erase scheduling; every victim is fully invalid by the
+/// time GC picks it, so nothing migrates.
+inline GoldenRecipe golden_gc_churn() {
+  return gc_churn_recipe("golden_gc_churn", 128);
 }
 
 /// Scenario D: write-heavy three-tenant stream on the multiplane device
@@ -111,12 +128,24 @@ inline GoldenRecipe golden_multiplane_writes() {
   return r;
 }
 
+/// Scenario E: Scenario C's stream over 224 LPNs, with GC triggered at
+/// four free blocks per plane and run until five are free. Victims still
+/// hold valid pages, so GC migrates them: covers migration reads and
+/// programs, and GC writes in flight at a snapshot.
+inline GoldenRecipe golden_gc_migrate() {
+  GoldenRecipe r = gc_churn_recipe("golden_gc_migrate", 224);
+  r.config.ssd.ftl.gc_trigger_free_blocks = 4;
+  r.config.ssd.ftl.gc_target_free_blocks = 5;
+  return r;
+}
+
 inline std::vector<GoldenRecipe> all_golden_recipes() {
   std::vector<GoldenRecipe> recipes;
   recipes.push_back(golden_mix1_default());
   recipes.push_back(golden_mix2_buffered());
   recipes.push_back(golden_gc_churn());
   recipes.push_back(golden_multiplane_writes());
+  recipes.push_back(golden_gc_migrate());
   return recipes;
 }
 

@@ -9,6 +9,7 @@
 // run inside full replays without false alarms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -108,6 +109,21 @@ void write_u64(std::vector<char>& buf, std::size_t pos, std::uint64_t v) {
 
 void write_u32(std::vector<char>& buf, std::size_t pos, std::uint32_t v) {
   std::memcpy(buf.data() + pos, &v, sizeof(v));
+}
+
+std::uint32_t read_u32(const std::vector<char>& buf, std::size_t pos) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, buf.data() + pos, sizeof(v));
+  return v;
+}
+
+/// Offset of unit 0's write queue (its u64 length) in a save_state payload.
+/// UNIT: tag, u64 count, then per unit: bool busy, u64 busy_until and three
+/// rings (u64 size + u32 op ids): read_wait, erase_wait, write_q.
+std::size_t unit0_write_queue(const std::vector<char>& bytes) {
+  std::size_t pos = find_tag(bytes, "UNIT") + 4 + 8 + 1 + 8;
+  for (int ring = 0; ring < 2; ++ring) pos += 8 + read_u64(bytes, pos) * 4;
+  return pos;
 }
 
 /// Serialize `device`, let `corrupt` patch the raw payload, and load the
@@ -361,16 +377,32 @@ TEST(SsdInvariants, DetectsOpSlabCorruption) {
   expect_load_rejected(
       *device,
       [](std::vector<char>& bytes) {
-        // OPSL: tag, u64 count, then 90-byte op records ending in the
-        // in_use byte. Flipping op 0's flag either frees an op that a
-        // queue or a pending event still names, or puts a free-listed op
-        // in use; the OPSL loader refuses both.
+        // OPSL: tag, u64 slot count, u64 free count and u32 free ids, then
+        // a 47-byte record per slot in use, in id order. Free the in-use
+        // op at the front of unit 0's write queue (list its id, drop its
+        // record) while the queue still names it; the loader refuses the
+        // queue entry.
+        const std::size_t write_q = unit0_write_queue(bytes);
+        ASSERT_GT(read_u64(bytes, write_q), 0u) << "unit 0 has no queued write";
+        const std::uint32_t op = read_u32(bytes, write_q + 8);
         const std::size_t opsl = find_tag(bytes, "OPSL");
-        ASSERT_GT(read_u64(bytes, opsl + 4), 0u);
-        const std::size_t flag_pos = opsl + 12 + 89;
-        bytes[flag_pos] = bytes[flag_pos] ? '\0' : '\1';
+        const std::uint64_t nfree = read_u64(bytes, opsl + 12);
+        std::vector<bool> free(read_u64(bytes, opsl + 4), false);
+        for (std::uint64_t k = 0; k < nfree; ++k) {
+          free[read_u32(bytes, opsl + 20 + 4 * k)] = true;
+        }
+        const auto rank = std::count(free.begin(), free.begin() + op, false);
+        const std::size_t list_end = opsl + 20 + 4 * nfree;
+        const auto record =
+            bytes.begin() + static_cast<std::ptrdiff_t>(list_end + 47 * rank);
+        bytes.erase(record, record + 47);
+        char id[4];
+        std::memcpy(id, &op, sizeof(id));
+        bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(list_end), id,
+                     id + 4);
+        write_u64(bytes, opsl + 12, nfree + 1);
       },
-      "op slab in_use flag");
+      "op slab free list");
 }
 
 TEST(SsdInvariants, RejectsOutOfRangeWriteQueueOpId) {
@@ -378,15 +410,12 @@ TEST(SsdInvariants, RejectsOutOfRangeWriteQueueOpId) {
   snapshot::StateWriter w;
   device->save_state(w);
   std::vector<char> bytes = w.take();
-  // UNIT: tag, u64 count, then per unit: bool busy, u64 busy_until and
-  // three rings (u64 size + entries): read_wait, erase_wait, write_q.
   // Point unit 0's front write past the end of the op slab; the load
   // rebuilds the write-grant keys from that op and must refuse it.
-  std::size_t pos = find_tag(bytes, "UNIT") + 4 + 8 + 1 + 8;
-  for (int ring = 0; ring < 2; ++ring) pos += 8 + read_u64(bytes, pos) * 8;
+  const std::size_t pos = unit0_write_queue(bytes);
   ASSERT_GT(read_u64(bytes, pos), 0u) << "unit 0 has no queued write";
   const std::uint64_t nops = read_u64(bytes, find_tag(bytes, "OPSL") + 4);
-  write_u64(bytes, pos + 8, nops + 1000);
+  write_u32(bytes, pos + 8, static_cast<std::uint32_t>(nops + 1000));
 
   Ssd reloaded(tiny_options());
   snapshot::StateReader r(bytes);
@@ -396,28 +425,32 @@ TEST(SsdInvariants, RejectsOutOfRangeWriteQueueOpId) {
 // --- power-loss & OOB serialized state ----------------------------------------
 //
 // Every field the power/OOB work added to the snapshot format gets a
-// seeded corruption here: OPSL oob_seq, the OOB_ owner/seq arrays, REQS
-// volatile_pages, and the PWRS power flag and flush-barrier records.
+// seeded corruption here: OPSL oob_seq, the OOB_ owner/seq arrays, the REQS
+// tallies' volatile_pages, and the PWRS power flag and flush-barrier
+// records.
 
 TEST(SsdInvariants, DetectsOpOobSeqCorruption) {
   auto device = busy_powered_device();
   expect_corruption_detected(
       *device,
       [](std::vector<char>& bytes) {
-        // OPSL records: kind byte at +12, oob_seq u64 at +61, in_use at
-        // +89. Give every in-flight write an oob_seq far beyond the OOB
-        // store's next_seq; the op-slab audit range-checks it.
+        // OPSL: tag, u64 slot count, u64 free count and u32 free ids,
+        // then a 55-byte record per slot in use: kind byte at +8, and on
+        // a power-model device the oob_seq u64 at +47. Give every
+        // in-flight write an oob_seq far beyond the OOB store's next_seq;
+        // the op-slab audit range-checks it.
         const std::size_t opsl = find_tag(bytes, "OPSL");
-        const std::uint64_t nops = read_u64(bytes, opsl + 4);
+        const std::uint64_t nfree = read_u64(bytes, opsl + 12);
+        const std::uint64_t in_use = read_u64(bytes, opsl + 4) - nfree;
+        const std::size_t records = opsl + 20 + 4 * nfree;
         std::size_t patched = 0;
-        for (std::uint64_t i = 0; i < nops; ++i) {
-          const std::size_t rec = opsl + 12 + i * 90;
+        for (std::uint64_t i = 0; i < in_use; ++i) {
+          const std::size_t rec = records + i * 55;
           // Wire values of the (private) OpKind enum: 1 = kHostWrite,
           // 5 = kFlushWrite — the two kinds the audit range-checks.
-          const auto kind = static_cast<std::uint8_t>(bytes[rec + 12]);
-          const bool is_write = kind == 1 || kind == 5;
-          if (bytes[rec + 89] && is_write) {
-            write_u64(bytes, rec + 61, 0xFFFF'FFFF'FFFFULL);
+          const auto kind = static_cast<std::uint8_t>(bytes[rec + 8]);
+          if (kind == 1 || kind == 5) {
+            write_u64(bytes, rec + 47, 0xFFFF'FFFF'FFFFULL);
             ++patched;
           }
         }
@@ -475,16 +508,19 @@ TEST(SsdInvariants, DetectsOobSeqCorruption) {
 
 TEST(SsdInvariants, DetectsVolatilePageOverCount) {
   auto device = busy_powered_device();
-  // REQS: tag, u64 count, then 45-byte records with volatile_pages (u32)
-  // at +41. Claim request 0 absorbed more buffered pages than it has
-  // pages. The REQS loader refuses the count with a SnapshotError naming
-  // its offset, before any audit.
+  // REQS: tag, u64 count, 37-byte records, then the tally list: u64
+  // count and a (u32 failed, u32 volatile_pages) pair per request. Claim
+  // request 0 absorbed more buffered pages than it has pages. The REQS
+  // loader refuses the count with a SnapshotError naming its offset,
+  // before any audit.
   snapshot::StateWriter w;
   device->save_state(w);
   std::vector<char> bytes = w.take();
   const std::size_t reqs = find_tag(bytes, "REQS");
-  ASSERT_GT(read_u64(bytes, reqs + 4), 0u);
-  const std::size_t volatile_pos = reqs + 12 + 41;
+  const std::uint64_t nreq = read_u64(bytes, reqs + 4);
+  const std::size_t tallies = reqs + 12 + 37 * nreq;
+  ASSERT_GT(read_u64(bytes, tallies), 0u) << "no request tallies";
+  const std::size_t volatile_pos = tallies + 8 + 4;
   write_u32(bytes, volatile_pos, 0xDEAD);
 
   Ssd reloaded(powered_options());

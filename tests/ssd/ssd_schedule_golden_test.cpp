@@ -77,6 +77,18 @@ TEST_P(GoldenScheduleTest, ExplicitFifoSchedConfigIsScheduleNeutral) {
       << "schedule at event " << divergence;
 }
 
+// Scenario E exists to pin migration: its GC victims still hold valid
+// pages when picked, so its reference trace holds GC reads and programs,
+// which none of the other recipes produces.
+TEST(GoldenRecipes, GcMigrateMovesValidPages) {
+  telemetry::Tracer tracer;
+  const core::RunResult run =
+      testing::replay_golden(testing::golden_gc_migrate(), tracer);
+  EXPECT_FALSE(run.device_full) << run.abort_reason;
+  EXPECT_GT(run.counters.gc_migrations, 0u);
+  EXPECT_EQ(tracer.dropped(), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllRecipes, GoldenScheduleTest,
     ::testing::ValuesIn(testing::all_golden_recipes()),
