@@ -207,7 +207,6 @@ void BlockManager::retire_block(std::uint64_t plane_id, std::uint32_t block) {
       break;
   }
   info.state = BlockState::kRetired;
-  ++retired_;
 }
 
 void BlockManager::erase_block(std::uint64_t plane_id, std::uint32_t block) {
@@ -301,6 +300,28 @@ std::optional<std::uint32_t> BlockManager::coldest_full_block(
   return best;
 }
 
+std::uint64_t BlockManager::retired_blocks() const {
+  std::uint64_t retired = 0;
+  for (std::uint64_t p = 0; p < planes_.size(); ++p) {
+    for (std::uint32_t b = 0; b < planes_[p].cursor; ++b) {
+      retired += blocks_[slot(p, b)].state == BlockState::kRetired ? 1 : 0;
+    }
+  }
+  return retired;
+}
+
+void BlockManager::derive_plane(std::uint64_t plane_id) {
+  PlaneInfo& plane = planes_[plane_id];
+  const std::uint64_t base = slot(plane_id, 0);
+  plane.free_count = 0;
+  plane.open_block = -1;
+  for (std::uint32_t b = 0; b < plane.cursor; ++b) {
+    const BlockState state = blocks_[base + b].state;
+    if (state == BlockState::kFree) free_ids_[base + plane.free_count++] = b;
+    if (state == BlockState::kOpen) plane.open_block = b;
+  }
+}
+
 std::uint64_t BlockManager::total_valid_pages() const {
   std::uint64_t total = 0;
   for (const auto& info : blocks_) total += info.valid;
@@ -315,7 +336,6 @@ void BlockManager::check_invariants() const {
   const std::uint32_t ppb = geom_.pages_per_block;
   const std::uint32_t wpb = words_per_block();
 
-  std::uint64_t retired_seen = 0;
   for (std::uint64_t plane = 0; plane < planes_.size(); ++plane) {
     const PlaneInfo& pinfo = planes_[plane];
     SSDK_CHECK_MSG(pinfo.cursor <= geom_.blocks_per_plane &&
@@ -418,7 +438,6 @@ void BlockManager::check_invariants() const {
                              " is Full below its write capacity");
           break;
         case BlockState::kRetired:
-          ++retired_seen;
           break;
       }
       if (info.state != BlockState::kFree) {
@@ -427,25 +446,19 @@ void BlockManager::check_invariants() const {
       }
     }
   }
-  SSDK_CHECK_MSG(retired_seen == retired_,
-                 "retired-block counter " + std::to_string(retired_) +
-                     " != blocks in state kRetired " +
-                     std::to_string(retired_seen));
 }
 
-// BLKM, snapshot format v4:
-//   u64 retired count, u64 plane count, then per plane:
-//   u64 cursor, then per block below it: u32 write_ptr, u32 valid,
-//   u64 erases, u8 state, u8 program_fails, u8 erase_fails, the block's
-//   validity words (one u64 per 64 pages) and one u64 owner per valid
-//   page in page order; then i64 open block (-1 = none) and the explicit
-//   free list as a vec_u32 sorted ascending.
+// BLKM, snapshot format v8:
+//   u64 plane count, then per plane:
+//   u64 cursor, then per block below it: u32 write_ptr, u64 erases, u8
+//   state, u8 program_fails, u8 erase_fails, the block's validity words
+//   (one u64 per 64 pages) and one u64 owner per valid page in page order.
+// A block's valid count is the popcount of its words; a plane's open
+// block and free list follow from the states (derive_plane).
 void BlockManager::save_state(snapshot::StateWriter& w) const {
   w.tag("BLKM");
-  w.u64(retired_);
   w.u64(planes_.size());
   const std::uint32_t wpb = words_per_block();
-  std::vector<std::uint32_t> free_list;
   for (std::uint64_t p = 0; p < planes_.size(); ++p) {
     const PlaneInfo& plane = planes_[p];
     w.u64(plane.cursor);
@@ -453,7 +466,6 @@ void BlockManager::save_state(snapshot::StateWriter& w) const {
       const std::uint64_t s = slot(p, b);
       const BlockInfo& info = blocks_[s];
       w.u32(info.write_ptr);
-      w.u32(info.valid);
       w.u64(info.erases);
       w.u8(static_cast<std::uint8_t>(info.state));
       w.u8(info.program_fails);
@@ -468,14 +480,6 @@ void BlockManager::save_state(snapshot::StateWriter& w) const {
         }
       }
     }
-    w.i64(plane.open_block);
-    // The pick in open_new_block does not depend on list order, so the
-    // list is written sorted: the section is a pure function of state.
-    const auto list = free_ids_.begin() + static_cast<std::ptrdiff_t>(
-                                              slot(p, 0));
-    free_list.assign(list, list + plane.free_count);
-    std::sort(free_list.begin(), free_list.end());
-    w.vec_u32(free_list);
   }
 }
 
@@ -485,17 +489,13 @@ void BlockManager::load_state(snapshot::StateReader& r) {
     throw snapshot::SnapshotError(
         "snapshot: BLKM at offset " + std::to_string(at) + ": " + what, at);
   };
-  const auto plane_label = [](std::uint64_t plane) {
-    return "plane " + std::to_string(plane);
-  };
-  const auto block_label = [&](std::uint64_t plane, std::uint32_t block) {
-    return plane_label(plane) + " block " + std::to_string(block);
+  const auto block_label = [](std::uint64_t plane, std::uint32_t block) {
+    return "plane " + std::to_string(plane) + " block " +
+           std::to_string(block);
   };
   *this = BlockManager(geom_);
   const std::uint32_t ppb = geom_.pages_per_block;
   const std::uint32_t wpb = words_per_block();
-  const std::uint64_t retired_at = r.offset();
-  const std::uint64_t retired = r.u64();
   const std::uint64_t planes_at = r.offset();
   const std::uint64_t nplanes = r.u64();
   if (nplanes != planes_.size()) {
@@ -503,33 +503,31 @@ void BlockManager::load_state(snapshot::StateReader& r) {
                         std::to_string(planes_.size()) +
                         " (from geometry), found " + std::to_string(nplanes));
   }
-  std::uint64_t retired_seen = 0;
   for (std::uint64_t p = 0; p < nplanes; ++p) {
-    PlaneInfo& plane = planes_[p];
     const std::uint64_t cursor_at = r.offset();
     const std::uint64_t cursor =
-        r.checked_count(4 + 4 + 8 + 1 + 1 + 1 + std::size_t{8} * wpb);
+        r.checked_count(4 + 8 + 1 + 1 + 1 + std::size_t{8} * wpb);
     if (cursor > geom_.blocks_per_plane) {
-      fail(cursor_at, plane_label(p) + " cursor " + std::to_string(cursor) +
+      fail(cursor_at, "plane " + std::to_string(p) + " cursor " +
+                          std::to_string(cursor) +
                           " exceeds blocks_per_plane " +
                           std::to_string(geom_.blocks_per_plane));
     }
     reserve_blocks(static_cast<std::uint32_t>(cursor));
-    plane.cursor = static_cast<std::uint32_t>(cursor);
-    std::uint32_t open_seen = 0;
-    std::uint32_t free_seen = 0;
-    for (std::uint32_t b = 0; b < plane.cursor; ++b) {
+    planes_[p].cursor = static_cast<std::uint32_t>(cursor);
+    bool open_seen = false;
+    for (std::uint32_t b = 0; b < cursor; ++b) {
       const std::uint64_t s = slot(p, b);
       BlockInfo& info = blocks_[s];
       const std::uint64_t at = r.offset();
+      const std::uint64_t state_at = at + 12;
       info.write_ptr = r.u32();
-      info.valid = r.u32();
       info.erases = r.u64();
       const std::uint8_t state = r.u8();
       info.program_fails = r.u8();
       info.erase_fails = r.u8();
       if (state > static_cast<std::uint8_t>(BlockState::kRetired)) {
-        fail(at + 16,
+        fail(state_at,
              block_label(p, b) + " has invalid state " + std::to_string(state));
       }
       info.state = static_cast<BlockState>(state);
@@ -538,28 +536,26 @@ void BlockManager::load_state(snapshot::StateReader& r) {
                      std::to_string(info.write_ptr) +
                      " exceeds pages_per_block " + std::to_string(ppb));
       }
-      if (info.valid > info.write_ptr) {
-        fail(at + 4, block_label(p, b) + " counts " +
-                         std::to_string(info.valid) +
-                         " valid pages but wrote " +
-                         std::to_string(info.write_ptr));
-      }
       const bool state_fits =
           (info.state == BlockState::kFree && info.write_ptr == 0) ||
           (info.state == BlockState::kOpen && info.write_ptr < ppb) ||
           (info.state == BlockState::kFull && info.write_ptr == ppb) ||
           info.state == BlockState::kRetired;
       if (!state_fits) {
-        fail(at + 16, block_label(p, b) + " state " + std::to_string(state) +
-                          " disagrees with write pointer " +
-                          std::to_string(info.write_ptr));
+        fail(state_at, block_label(p, b) + " state " + std::to_string(state) +
+                           " disagrees with write pointer " +
+                           std::to_string(info.write_ptr));
       }
-      if (info.state == BlockState::kOpen) ++open_seen;
-      if (info.state == BlockState::kFree) ++free_seen;
-      if (info.state == BlockState::kRetired) ++retired_seen;
+      if (info.state == BlockState::kOpen) {
+        // A plane appends into one block at a time.
+        if (open_seen) {
+          fail(state_at, block_label(p, b) +
+                             " is a second Open block in its plane");
+        }
+        open_seen = true;
+      }
 
       std::uint64_t* words = &valid_bits_[s * wpb];
-      std::uint32_t owned = 0;
       for (std::uint32_t i = 0; i < wpb; ++i) {
         const std::uint64_t word_at = r.offset();
         words[i] = r.u64();
@@ -576,12 +572,7 @@ void BlockManager::load_state(snapshot::StateReader& r) {
                             "pointer " +
                             std::to_string(info.write_ptr));
         }
-        owned += static_cast<std::uint32_t>(std::popcount(words[i]));
-      }
-      if (owned != info.valid) {
-        fail(at + 4, block_label(p, b) + " valid counter " +
-                         std::to_string(info.valid) + " != " +
-                         std::to_string(owned) + " set validity bits");
+        info.valid += static_cast<std::uint32_t>(std::popcount(words[i]));
       }
       for (std::uint32_t i = 0; i < wpb; ++i) {
         for (std::uint64_t bits = words[i]; bits != 0; bits &= bits - 1) {
@@ -591,55 +582,8 @@ void BlockManager::load_state(snapshot::StateReader& r) {
         }
       }
     }
-
-    const std::uint64_t open_at = r.offset();
-    plane.open_block = r.i64();
-    if (plane.open_block < -1 || plane.open_block >= plane.cursor ||
-        (plane.open_block >= 0 &&
-         blocks_[slot(p, static_cast<std::uint32_t>(plane.open_block))]
-                 .state != BlockState::kOpen)) {
-      fail(open_at, plane_label(p) + " open block " +
-                        std::to_string(plane.open_block) +
-                        " is not an Open block below the cursor");
-    }
-    if (open_seen != (plane.open_block >= 0 ? 1u : 0u)) {
-      fail(open_at, plane_label(p) + " has " + std::to_string(open_seen) +
-                        " Open blocks but open block " +
-                        std::to_string(plane.open_block));
-    }
-
-    const std::uint64_t list_at = r.offset();
-    const std::uint64_t listed = r.checked_count(4);
-    if (listed != free_seen) {
-      fail(list_at, plane_label(p) + " free list holds " +
-                        std::to_string(listed) + " blocks but " +
-                        std::to_string(free_seen) + " blocks are Free");
-    }
-    const std::uint64_t base = slot(p, 0);
-    for (std::uint32_t i = 0; i < listed; ++i) {
-      const std::uint64_t at = r.offset();
-      const std::uint32_t id = r.u32();
-      if (id >= plane.cursor) {
-        fail(at, plane_label(p) + " free list names block " +
-                     std::to_string(id) + " at or above the cursor");
-      }
-      if (i > 0 && id <= free_ids_[base + i - 1]) {
-        fail(at, plane_label(p) + " free list repeats block " +
-                     std::to_string(id) + " or is not ascending");
-      }
-      if (blocks_[base + id].state != BlockState::kFree) {
-        fail(at, plane_label(p) + " free list names block " +
-                     std::to_string(id) + ", which is not Free");
-      }
-      free_ids_[base + i] = id;
-    }
-    plane.free_count = static_cast<std::uint32_t>(listed);
+    derive_plane(p);
   }
-  if (retired != retired_seen) {
-    fail(retired_at, "retired count " + std::to_string(retired) + " != " +
-                         std::to_string(retired_seen) + " retired blocks");
-  }
-  retired_ = retired;
 }
 
 }  // namespace ssdk::ftl

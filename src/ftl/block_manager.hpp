@@ -164,9 +164,8 @@ class BlockManager {
   /// Audit the block-level bookkeeping: per-block write-pointer/valid/state
   /// consistency, valid counters vs. actual page owners, plane free-list
   /// integrity (membership, uniqueness, state agreement), open-block
-  /// registration, cursor bounds and zeroed slots above each cursor, and
-  /// the retired-block counter. Throws util::InvariantViolation on the
-  /// first breach.
+  /// registration, cursor bounds and zeroed slots above each cursor.
+  /// Throws util::InvariantViolation on the first breach.
   void check_invariants() const;
 
   // --- bad-block management (fault model) --------------------------------
@@ -185,8 +184,8 @@ class BlockManager {
   /// path). Throws std::logic_error if already retired.
   void retire_block(std::uint64_t plane_id, std::uint32_t block);
 
-  /// Retired blocks across the device.
-  std::uint64_t retired_blocks() const { return retired_; }
+  /// Retired blocks across the device: a count over the records.
+  std::uint64_t retired_blocks() const;
 
   // --- power-loss recovery (driven by Ftl::recover_after_power_loss) ------
 
@@ -201,12 +200,12 @@ class BlockManager {
                         RecoveryReport& report);
 
   /// Serialize everything but the geometry (fixed at construction; the
-  /// snapshot layer round-trips it as part of the device options): the
-  /// plane cursors, each opened block's record and validity words with
-  /// owners for its valid pages only, the open blocks and the sorted
-  /// free lists. The loader checks every field against the geometry and
-  /// the records before use and throws snapshot::SnapshotError with the
-  /// byte offset of the first bad one.
+  /// snapshot layer round-trips it as part of the device options) and
+  /// what follows from the rest: the plane cursors and each opened
+  /// block's record and validity words, with owners for its valid pages
+  /// only. The loader checks every field against the geometry before use
+  /// and throws snapshot::SnapshotError with the byte offset of the first
+  /// bad one; it derives the valid counts, open blocks and free lists.
   void save_state(snapshot::StateWriter& w) const;
   void load_state(snapshot::StateReader& r);
 
@@ -220,6 +219,7 @@ class BlockManager {
 
   struct BlockInfo {
     std::uint32_t write_ptr = 0;    ///< next page to program
+    // ssdk-snap: skip(valid): the popcount of the block's validity words, which the loader takes
     std::uint32_t valid = 0;        ///< valid page count
     std::uint64_t erases = 0;
     BlockState state = BlockState::kFree;
@@ -228,7 +228,9 @@ class BlockManager {
   };
   struct PlaneInfo {
     std::uint32_t cursor = 0;      ///< blocks below it have records
+    // ssdk-snap: skip(free_count): the plane's Free records, counted by derive_plane on load
     std::uint32_t free_count = 0;  ///< length of the explicit free list
+    // ssdk-snap: skip(open_block): the plane's Open record, found by derive_plane on load
     std::int64_t open_block = -1;  ///< -1 = none
   };
 
@@ -291,6 +293,11 @@ class BlockManager {
   /// Pop the least-erased free block of a plane and open it.
   bool open_new_block(std::uint64_t plane_id);
 
+  /// Derive the plane's free list (its Free records, in ascending order)
+  /// and open block (its Open record, or none) from its records. Snapshot
+  /// loads and the recovery scan call it.
+  void derive_plane(std::uint64_t plane_id);
+
   /// Give every block of the plane below `end` a record: blocks between
   /// the cursor and `end` become Free records on the explicit free list.
   void extend_cursor(std::uint64_t plane_id, std::uint32_t end);
@@ -313,12 +320,13 @@ class BlockManager {
   // The pool, plane-major with cap_ slots per plane: slot(p, b) holds
   // block b of plane p for b below the plane's cursor.
   std::vector<BlockInfo> blocks_;
-  std::vector<std::uint32_t> free_ids_;  // explicit free list, free_count long
+  // Explicit free list per plane, free_count long.
+  // ssdk-snap: skip(free_ids_): the plane's Free records, listed by derive_plane on load
+  std::vector<std::uint32_t> free_ids_;
   std::vector<std::uint64_t> valid_bits_;  // words_per_block() per slot
   // Packed owner (tenant<<40 | lpn) per page, pages_per_block per slot;
   // meaningful only while the page's validity bit is set.
   std::vector<std::uint64_t> owners_;
-  std::uint64_t retired_ = 0;  // device-wide retired-block count
 };
 
 }  // namespace ssdk::ftl

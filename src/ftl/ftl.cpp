@@ -28,10 +28,7 @@ Ftl::TenantPolicy& Ftl::policy_for(sim::TenantId tenant) {
     policies_.resize(static_cast<std::size_t>(tenant) + 1);
   }
   auto& p = policies_[tenant];
-  if (p.channels.empty()) {
-    p.channels = all_channels_;
-    p.plan = make_static_plan(geom_, p.channels.size());
-  }
+  if (p.channels.empty()) p.channels = all_channels_;
   return p;
 }
 
@@ -48,9 +45,7 @@ void Ftl::set_tenant_channels(sim::TenantId tenant,
   std::sort(channels.begin(), channels.end());
   channels.erase(std::unique(channels.begin(), channels.end()),
                  channels.end());
-  auto& policy = policy_for(tenant);
-  policy.channels = std::move(channels);
-  policy.plan = make_static_plan(geom_, policy.channels.size());
+  policy_for(tenant).channels = std::move(channels);
 }
 
 // A const reader must not change the device's state (its snapshot, or a
@@ -117,8 +112,7 @@ sim::Ppn Ftl::translate_read(sim::TenantId tenant, std::uint64_t lpn) {
   // Prepopulate: the data is assumed to predate the simulation. Static
   // placement keeps sequential LPNs striped over the tenant's channels.
   const auto& policy = policy_for(tenant);
-  const PlaneTarget target =
-      static_place(geom_, policy.channels, policy.plan, lpn);
+  const PlaneTarget target = static_place(geom_, policy.channels, lpn);
   const sim::Ppn ppn = allocate_near(target, policy.channels);
   if (ppn == sim::kInvalidPpn) throw DeviceFullError(tenant, lpn);
   blocks_.mark_valid(ppn, tenant, lpn);
@@ -378,9 +372,6 @@ void Ftl::load_state(snapshot::StateReader& r) {
     }
     p.mode = static_cast<AllocMode>(mode);
     p.rr_counter = r.u64();
-    if (!p.channels.empty()) {
-      p.plan = make_static_plan(geom_, p.channels.size());
-    }
   }
   oob_.load_state(r, geom_);
 }

@@ -92,7 +92,7 @@ class Ftl {
     auto& policy = policy_for(tenant);
     const PlaneTarget target =
         policy.mode == AllocMode::kStatic
-            ? static_place(geom_, policy.channels, policy.plan, lpn)
+            ? static_place(geom_, policy.channels, lpn)
             : dynamic_place(geom_, policy.channels, load,
                             policy.rr_counter);
     return finish_host_write(tenant, lpn, target, policy.channels);
@@ -191,7 +191,7 @@ class Ftl {
 
   // --- introspection --------------------------------------------------------
 
-  /// Full FTL audit: mapping-count consistency, block bookkeeping, and the
+  /// Full FTL audit: whole-step table spans, block bookkeeping, and the
   /// L2P bijection in both directions — every mapped LPN points at a valid
   /// page whose recorded owner is that (tenant, LPN), and every valid
   /// physical page is reachable through its owner's mapping. Throws
@@ -227,8 +227,6 @@ class Ftl {
     std::vector<std::uint32_t> channels;
     AllocMode mode = AllocMode::kStatic;
     std::uint64_t rr_counter = 0;  // dynamic-placement plane rotation
-    // ssdk-snap: skip(plan): cache rebuilt from `channels` (make_static_plan) whenever they change, including on load
-    StaticPlan plan;  // strides for `channels`; rebuilt whenever it changes
   };
 
   TenantPolicy& policy_for(sim::TenantId tenant);

@@ -14,10 +14,7 @@ std::vector<sim::Ppn32>& MappingTable::table_for(sim::TenantId tenant) {
     throw std::invalid_argument("mapping: tenant id too large (dense ids "
                                 "expected): " + std::to_string(tenant));
   }
-  if (tables_.size() <= tenant) {
-    tables_.resize(tenant + 1);
-    mapped_counts_.resize(tenant + 1, 0);
-  }
+  if (tables_.size() <= tenant) tables_.resize(tenant + 1);
   return tables_[tenant];
 }
 
@@ -48,57 +45,47 @@ void MappingTable::clear() {
   for (auto& table : tables_) {
     std::fill(table.begin(), table.end(), sim::kInvalidPpn32);
   }
-  std::fill(mapped_counts_.begin(), mapped_counts_.end(), 0);
 }
 
 std::uint64_t MappingTable::mapped_count(sim::TenantId tenant) const {
-  if (tenant >= mapped_counts_.size()) return 0;
-  return mapped_counts_[tenant];
+  if (tenant >= tables_.size()) return 0;
+  const auto& table = tables_[tenant];
+  return static_cast<std::uint64_t>(
+      std::count_if(table.begin(), table.end(),
+                    [](sim::Ppn32 e) { return e != sim::kInvalidPpn32; }));
 }
 
 void MappingTable::check_invariants() const {
-  SSDK_CHECK_MSG(tables_.size() == mapped_counts_.size(),
-                 "mapping: table/count vectors out of step");
   for (std::size_t t = 0; t < tables_.size(); ++t) {
     SSDK_CHECK_MSG(tables_[t].size() % kSpanStep == 0,
                    "mapping: tenant " + std::to_string(t) + " span " +
                        std::to_string(tables_[t].size()) +
                        " is not a whole number of steps");
-    const auto mapped = static_cast<std::uint64_t>(
-        std::count_if(tables_[t].begin(), tables_[t].end(),
-                      [](sim::Ppn32 e) { return e != sim::kInvalidPpn32; }));
-    SSDK_CHECK_MSG(mapped == mapped_counts_[t],
-                   "mapping: tenant " + std::to_string(t) +
-                       " cached mapped count " +
-                       std::to_string(mapped_counts_[t]) + " != actual " +
-                       std::to_string(mapped));
   }
 }
 
-// Layout (v5): "L2PM", u64 tenant count, then per tenant a u64 span (a
-// whole number of kSpanSteps), span u32 entries (0xFFFFFFFF = unmapped)
-// and the u64 mapped count.
+// Layout (v8): "L2PM", u64 tenant count, then per tenant a u64 span (a
+// whole number of kSpanSteps) and span u32 entries (0xFFFFFFFF =
+// unmapped).
 void MappingTable::save_state(snapshot::StateWriter& w) const {
   w.tag("L2PM");
   w.u64(tables_.size());
-  for (std::size_t t = 0; t < tables_.size(); ++t) {
-    w.vec_u32(tables_[t]);
-    w.u64(mapped_counts_[t]);
-  }
+  for (const auto& table : tables_) w.vec_u32(table);
 }
 
 void MappingTable::load_state(snapshot::StateReader& r,
                               std::uint64_t total_pages) {
   r.tag("L2PM");
-  const std::uint64_t n = r.checked_count(8 + 8);
+  const std::uint64_t count_at = r.offset();
+  const std::uint64_t n = r.checked_count(8);
   if (n > kMaxTenants) {
     throw snapshot::SnapshotError(
         "snapshot: mapping table tenant count " + std::to_string(n) +
-            " exceeds limit " + std::to_string(kMaxTenants),
-        r.offset());
+            " at offset " + std::to_string(count_at) + " exceeds limit " +
+            std::to_string(kMaxTenants),
+        count_at);
   }
   tables_.assign(n, {});
-  mapped_counts_.assign(n, 0);
   for (std::uint64_t t = 0; t < n; ++t) {
     const std::uint64_t span_at = r.offset();
     const std::uint64_t span = r.checked_count(sizeof(sim::Ppn32));
@@ -111,12 +98,10 @@ void MappingTable::load_state(snapshot::StateReader& r,
           span_at);
     }
     std::vector<sim::Ppn32> table(span);
-    std::uint64_t valid = 0;
     for (sim::Ppn32& entry : table) {
       const std::uint64_t at = r.offset();
       entry = r.u32();
-      if (entry == sim::kInvalidPpn32) continue;
-      if (entry >= total_pages) {
+      if (entry != sim::kInvalidPpn32 && entry >= total_pages) {
         throw snapshot::SnapshotError(
             "snapshot: L2P entry at offset " + std::to_string(at) +
                 " maps to ppn " + std::to_string(entry) +
@@ -124,20 +109,8 @@ void MappingTable::load_state(snapshot::StateReader& r,
                 " pages",
             at);
       }
-      ++valid;
-    }
-    const std::uint64_t count_at = r.offset();
-    const std::uint64_t mapped = r.u64();
-    if (mapped != valid) {
-      throw snapshot::SnapshotError(
-          "snapshot: L2P mapped count of tenant " + std::to_string(t) +
-              " at offset " + std::to_string(count_at) + " is " +
-              std::to_string(mapped) + " but its table has " +
-              std::to_string(valid) + " valid entries",
-          count_at);
     }
     tables_[t] = std::move(table);
-    mapped_counts_[t] = mapped;
   }
 }
 

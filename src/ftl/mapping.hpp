@@ -37,7 +37,7 @@ class MappingTable {
   /// Install a new mapping; returns the previous PPN (kInvalidPpn if none).
   /// Inline fast path: once the tenant's table already covers the LPN
   /// (steady state — every page write lands here), this is one array
-  /// store plus mapped-count maintenance.
+  /// store.
   sim::Ppn update(sim::TenantId tenant, std::uint64_t lpn, sim::Ppn ppn) {
     if (tenant >= tables_.size() || lpn >= tables_[tenant].size()) {
       return grow_and_update(tenant, lpn, ppn);
@@ -45,15 +45,9 @@ class MappingTable {
     SSDK_ASSERT(ppn == sim::kInvalidPpn || ppn < sim::kInvalidPpn32);
     // kInvalidPpn's low 32 bits are the 32-bit marker, so truncation
     // packs both valid and invalid PPNs.
-    const auto entry = static_cast<sim::Ppn32>(ppn);
     sim::Ppn32& slot = tables_[tenant][lpn];
     const sim::Ppn32 old = slot;
-    slot = entry;
-    if (old == sim::kInvalidPpn32 && entry != sim::kInvalidPpn32) {
-      ++mapped_counts_[tenant];
-    } else if (old != sim::kInvalidPpn32 && entry == sim::kInvalidPpn32) {
-      --mapped_counts_[tenant];
-    }
+    slot = static_cast<sim::Ppn32>(ppn);
     return unpack(old);
   }
 
@@ -65,7 +59,8 @@ class MappingTable {
   /// LPNs are always a subset of previously touched ones.
   void clear();
 
-  /// Number of mapped (valid) logical pages for a tenant.
+  /// Number of mapped (valid) logical pages for a tenant: a count over
+  /// its table, O(span).
   std::uint64_t mapped_count(sim::TenantId tenant) const;
 
   std::size_t tenant_table_count() const { return tables_.size(); }
@@ -84,14 +79,13 @@ class MappingTable {
     return tenant < tables_.size() ? tables_[tenant].capacity() : 0;
   }
 
-  /// Audit: every cached mapped-count equals the number of non-invalid
-  /// entries in its table. Throws util::InvariantViolation on mismatch.
+  /// Audit: every span is a whole number of kSpanSteps. Throws
+  /// util::InvariantViolation otherwise.
   void check_invariants() const;
 
   void save_state(snapshot::StateWriter& w) const;
   /// Throws SnapshotError unless every entry is the invalid marker or
-  /// below `total_pages`, every span is a whole number of kSpanSteps and
-  /// every mapped count equals its table's valid entries.
+  /// below `total_pages` and every span is a whole number of kSpanSteps.
   void load_state(snapshot::StateReader& r, std::uint64_t total_pages);
 
  private:
@@ -107,7 +101,6 @@ class MappingTable {
 
   // Dense tenant ids index directly; the tables vector grows as needed.
   std::vector<std::vector<sim::Ppn32>> tables_;
-  std::vector<std::uint64_t> mapped_counts_;
 };
 
 }  // namespace ssdk::ftl

@@ -66,12 +66,6 @@ void OobStore::clear_block_unknown(std::uint64_t global_block) {
   unknown_blocks_[global_block] = 0;
 }
 
-std::uint64_t OobStore::unknown_block_count() const {
-  std::uint64_t n = 0;
-  for (const std::uint8_t flag : unknown_blocks_) n += flag;
-  return n;
-}
-
 void OobStore::check_invariants() const {
   if (!enabled_) return;
   for (sim::Ppn p = 0; p < state_.size(); ++p) {
@@ -118,7 +112,9 @@ void OobStore::load_state(snapshot::StateReader& r,
   }
   enable(geometry);
   next_seq_ = r.u64();
+  const std::uint64_t owners_at = r.offset() + 8;
   owner_ = r.vec_u64();
+  const std::uint64_t seqs_at = r.offset() + 8;
   seq_ = r.vec_u64();
   const std::uint64_t npages = r.checked_count(1);
   if (owner_.size() != geometry.total_pages() ||
@@ -130,9 +126,31 @@ void OobStore::load_state(snapshot::StateReader& r,
             std::to_string(geometry.total_pages()) + " (from options)",
         r.offset());
   }
-  state_.assign(npages, OobState::kErased);
-  for (std::uint64_t p = 0; p < npages; ++p) {
-    state_[p] = static_cast<OobState>(r.u8());
+  // The rules of check_invariants: recovery trusts every one of them.
+  const auto fail = [](std::uint64_t at, sim::Ppn p, const std::string& what) {
+    throw snapshot::SnapshotError("snapshot: OOB page " + std::to_string(p) +
+                                      " at offset " + std::to_string(at) +
+                                      " " + what,
+                                  at);
+  };
+  for (sim::Ppn p = 0; p < npages; ++p) {
+    const std::uint64_t at = r.offset();
+    const std::uint8_t raw = r.u8();
+    if (raw > static_cast<std::uint8_t>(OobState::kFailed)) {
+      fail(at, p, "has invalid state " + std::to_string(raw));
+    }
+    state_[p] = static_cast<OobState>(raw);
+    const bool data = state_[p] == OobState::kData;
+    if (data != (owner_[p] != kNoOwner)) {
+      fail(owners_at + 8 * p, p,
+           data ? "holds data but no owner" : "has an owner but no data");
+    }
+    if (data ? seq_[p] == 0 || seq_[p] >= next_seq_ : seq_[p] != 0) {
+      fail(seqs_at + 8 * p, p,
+           "carries seq " + std::to_string(seq_[p]) +
+               (data ? " outside (0, " + std::to_string(next_seq_) + ")"
+                     : " but no data"));
+    }
   }
   const std::uint64_t nblocks = r.checked_count(1);
   if (nblocks != geometry.total_blocks()) {
@@ -142,8 +160,17 @@ void OobStore::load_state(snapshot::StateReader& r,
             std::to_string(geometry.total_blocks()) + " (from options)",
         r.offset());
   }
-  unknown_blocks_.assign(nblocks, 0);
-  for (std::uint64_t b = 0; b < nblocks; ++b) unknown_blocks_[b] = r.u8();
+  for (std::uint64_t b = 0; b < nblocks; ++b) {
+    const std::uint64_t at = r.offset();
+    unknown_blocks_[b] = r.u8();
+    if (unknown_blocks_[b] > 1) {
+      throw snapshot::SnapshotError(
+          "snapshot: OOB unknown-block flag of block " + std::to_string(b) +
+              " at offset " + std::to_string(at) + " is " +
+              std::to_string(unknown_blocks_[b]) + ", not 0 or 1",
+          at);
+    }
+  }
 }
 
 }  // namespace ssdk::ftl

@@ -85,7 +85,6 @@ class OobStore {
   bool block_unknown(std::uint64_t global_block) const {
     return unknown_blocks_[global_block] != 0;
   }
-  std::uint64_t unknown_block_count() const;
 
   /// OOB-internal consistency: states are legal enum values, (owner, seq)
   /// are present exactly on kData pages, and every sequence number is
@@ -93,6 +92,9 @@ class OobStore {
   void check_invariants() const;
 
   void save_state(snapshot::StateWriter& w) const;
+  /// Throws SnapshotError, at the offending field's offset, on any state
+  /// check_invariants refuses, and on an unknown-block flag other than 0
+  /// or 1.
   void load_state(snapshot::StateReader& r, const sim::Geometry& geometry);
 
  private:

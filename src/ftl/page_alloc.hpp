@@ -53,8 +53,9 @@ struct PlaneTarget {
 /// Static placement: stripes LPNs channel-first over the tenant's allowed
 /// channel set, then over chips, then planes. Deterministic in (lpn,
 /// channels), which is what gives sequential reads their parallelism.
-/// Inline: runs once per placed page; keeping it in the header lets the
-/// allocator fold the power-of-two stride math into its own loop.
+/// Inline: runs once per placed page. The power-of-two tests are spelled
+/// out, as in Geometry::decode: at the baseline x86-64 ISA,
+/// std::has_single_bit compiles to a libgcc popcount call.
 inline PlaneTarget static_place(const sim::Geometry& g,
                                 const std::vector<std::uint32_t>& channels,
                                 std::uint64_t lpn) {
@@ -63,11 +64,12 @@ inline PlaneTarget static_place(const sim::Geometry& g,
   const std::uint64_t chips = g.chips_per_channel;
   const std::uint64_t planes = g.planes_per_chip;
   PlaneTarget t;
-  if (std::has_single_bit(n) && std::has_single_bit(chips) &&
-      std::has_single_bit(planes)) {
-    // Power-of-two strides (every stock geometry, and channel sets are
-    // sized 1/2/4/8 in the 4-tenant strategy space): pure shift/mask,
-    // no integer division on the per-page-write path.
+  if ((n & (n - 1)) == 0 && (chips & (chips - 1)) == 0 &&
+      (planes & (planes - 1)) == 0) {
+    // Power-of-two strides (every stock geometry; on 8 channels the
+    // strategy space yields sets of every size from 1 to 8, and sizes 1,
+    // 2, 4 and 8 take this path): shift/mask, no integer division on the
+    // per-page-write path.
     const int n_shift = std::countr_zero(n);
     const int chip_shift = std::countr_zero(chips);
     t.channel = channels[lpn & (n - 1)];
@@ -79,58 +81,6 @@ inline PlaneTarget static_place(const sim::Geometry& g,
     t.chip = static_cast<std::uint32_t>((lpn / n) % chips);
     t.plane = static_cast<std::uint32_t>((lpn / (n * chips)) % planes);
   }
-  return t;
-}
-
-/// Precomputed static-placement strides for a fixed (geometry, channel
-/// count) pair. static_place re-derives the power-of-two test (three
-/// popcounts) and both shift amounts on every placed page; cached per
-/// tenant policy they are recomputed only when the channel set changes,
-/// which removes the popcount traffic from the per-page-write path
-/// entirely. Decisions are identical to the plain static_place by
-/// construction — same strides, just hoisted.
-struct StaticPlan {
-  bool pow2 = false;
-  std::uint32_t n_shift = 0;   ///< log2(channel count)
-  std::uint32_t np_shift = 0;  ///< log2(channels) + log2(chips)
-  std::uint64_t n_mask = 0;
-  std::uint64_t chip_mask = 0;
-  std::uint64_t plane_mask = 0;
-};
-
-inline StaticPlan make_static_plan(const sim::Geometry& g,
-                                   std::uint64_t n_channels) {
-  const std::uint64_t chips = g.chips_per_channel;
-  const std::uint64_t planes = g.planes_per_chip;
-  StaticPlan p;
-  p.pow2 = std::has_single_bit(n_channels) && std::has_single_bit(chips) &&
-           std::has_single_bit(planes);
-  if (p.pow2) {
-    p.n_shift = static_cast<std::uint32_t>(std::countr_zero(n_channels));
-    p.np_shift =
-        p.n_shift + static_cast<std::uint32_t>(std::countr_zero(chips));
-    p.n_mask = n_channels - 1;
-    p.chip_mask = chips - 1;
-    p.plane_mask = planes - 1;
-  }
-  return p;
-}
-
-/// static_place with the strides precomputed by make_static_plan for this
-/// exact (geometry, channels.size()) pair.
-inline PlaneTarget static_place(const sim::Geometry& g,
-                                const std::vector<std::uint32_t>& channels,
-                                const StaticPlan& plan, std::uint64_t lpn) {
-  assert(plan.pow2 ==
-         (std::has_single_bit(channels.size()) &&
-          std::has_single_bit(std::uint64_t{g.chips_per_channel}) &&
-          std::has_single_bit(std::uint64_t{g.planes_per_chip})));
-  if (!plan.pow2) return static_place(g, channels, lpn);
-  PlaneTarget t;
-  t.channel = channels[lpn & plan.n_mask];
-  t.chip = static_cast<std::uint32_t>((lpn >> plan.n_shift) & plan.chip_mask);
-  t.plane =
-      static_cast<std::uint32_t>((lpn >> plan.np_shift) & plan.plane_mask);
   return t;
 }
 

@@ -129,17 +129,9 @@ void BlockManager::recover_from_oob(OobStore& oob, MappingTable& map,
   report.recovered_pages += best.size();
   report.stale_pages += readable - best.size();
 
-  // Pass 5: free lists (ascending block order; the wear-leveling pick does
-  // not depend on list order) and append points.
+  // Pass 5: free lists and append points (pass 3 left no block Open).
   for (std::uint64_t plane = 0; plane < planes_.size(); ++plane) {
-    PlaneInfo& info = planes_[plane];
-    info.free_count = 0;
-    info.open_block = -1;
-    for (std::uint32_t blk = 0; blk < info.cursor; ++blk) {
-      if (blocks_[slot(plane, blk)].state == BlockState::kFree) {
-        free_ids_[slot(plane, info.free_count++)] = blk;
-      }
-    }
+    derive_plane(plane);
   }
 
   // Retired blocks still holding winners need their rescue migration

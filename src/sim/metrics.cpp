@@ -1,7 +1,6 @@
 #include "sim/metrics.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 namespace ssdk::sim {
@@ -291,20 +290,6 @@ void MetricsCollector::load_state(snapshot::StateReader& r) {
   internal_present_ = r.boolean();
   internal_ = TenantMetrics{};
   load_tenant(r, internal_);
-}
-
-std::string MetricsCollector::report() const {
-  std::ostringstream os;
-  const TenantMetrics agg = aggregate();
-  os << "reads: " << summarize(agg.read_latency_us) << " us\n"
-     << "writes: " << summarize(agg.write_latency_us) << " us\n"
-     << "conflict rate: " << conflict_rate() << ", gc migrations: "
-     << counters_.gc_migrations << ", erases: " << counters_.erases << '\n';
-  for (const auto& [id, t] : all_tenants()) {
-    os << "  tenant " << id << ": avg read " << t.avg_read_us()
-       << " us, avg write " << t.avg_write_us() << " us\n";
-  }
-  return os.str();
 }
 
 }  // namespace ssdk::sim

@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "sim/request.hpp"
@@ -202,8 +201,6 @@ class MetricsCollector {
 
   /// Conflict rate = conflicts / page ops dispatched.
   double conflict_rate() const;
-
-  std::string report() const;
 
   void save_state(snapshot::StateWriter& w) const;
   void load_state(snapshot::StateReader& r);

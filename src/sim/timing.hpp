@@ -31,6 +31,12 @@ struct Timing {
 
   static Timing paper() { return Timing{}; }
 
+  /// Throws std::invalid_argument unless xfer_ns_per_byte is finite and
+  /// >= 0 and page_transfer_ns(g) fits a Duration: that function casts
+  /// rate x page size to an integer, which a NaN, a negative or an
+  /// out-of-range product makes undefined.
+  void validate(const Geometry& g) const;
+
   /// Plane occupancy of retry attempt `attempt` (1-based).
   Duration read_retry_ns(std::uint32_t attempt) const {
     return read_retry_base_ns +

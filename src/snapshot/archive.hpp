@@ -242,7 +242,10 @@ inline constexpr char kSnapshotMagic[8] = {'S', 'S', 'D', 'K',
 // holds it: OPSL lists the free slots as u32 ids and writes only the slots
 // in use; op queues hold u32 ids; REQS writes its tallies as their own
 // list; WBUF drops the map's insertion seqs; OPTS drops the DRR quantum.
-inline constexpr std::uint32_t kSnapshotVersion = 7;
+// Version 8: the FTL writes no derived field: L2PM drops each tenant's
+// mapped count, BLKM the retired count, each block's valid count and each
+// plane's open block and free list.
+inline constexpr std::uint32_t kSnapshotVersion = 8;
 
 enum class PayloadKind : std::uint32_t {
   kDevice = 1,    ///< full SSD device state

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -10,6 +11,29 @@ namespace ssdk::ssd {
 
 using sim::EventKind;
 using sim::kNoOp;
+
+void WriteBufferConfig::validate() const {
+  for (const double watermark : {high_watermark, low_watermark}) {
+    if (!(watermark >= 0.0) || !std::isfinite(watermark) ||
+        !(watermark * static_cast<double>(capacity_pages) < 0x1p64)) {
+      throw std::invalid_argument(
+          "write_buffer: watermarks must be finite and >= 0, and a "
+          "watermark times capacity_pages must fit a size_t");
+    }
+  }
+}
+
+namespace {
+
+/// The page transfer time, once the configs whose floating-point fields
+/// the device casts to integers have passed their checks.
+Duration validated_page_xfer_ns(const SsdOptions& options) {
+  options.timing.validate(options.geometry);
+  options.write_buffer.validate();
+  return options.timing.page_transfer_ns(options.geometry);
+}
+
+}  // namespace
 
 Ssd::Ssd(SsdOptions options)
     : options_(std::move(options)),
@@ -29,7 +53,7 @@ Ssd::Ssd(SsdOptions options)
       unit_busy_ns_(units_.size(), 0),
       gc_job_of_plane_(options_.geometry.total_planes(), kNoJob),
       sched_(options_.sched),
-      page_xfer_ns_(options_.timing.page_transfer_ns(options_.geometry)),
+      page_xfer_ns_(validated_page_xfer_ns(options_)),
       fault_rng_(options_.faults.seed),
       faults_on_(options_.faults.enabled()) {
   options_.faults.validate();

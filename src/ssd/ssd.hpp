@@ -57,6 +57,12 @@ struct WriteBufferConfig {
   Duration dram_ns = 2 * kMicrosecond;  ///< buffered-completion latency
   double high_watermark = 0.9;  ///< start flushing above this occupancy
   double low_watermark = 0.7;   ///< stop flushing below this occupancy
+
+  /// Throws std::invalid_argument unless each watermark is finite and
+  /// >= 0 and watermark x capacity_pages fits a size_t, the type the
+  /// flush thresholds are cast to. A high watermark above 1 is legal:
+  /// occupancy never crosses it, so the buffer never flushes on its own.
+  void validate() const;
 };
 
 struct SsdOptions {

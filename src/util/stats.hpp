@@ -1,6 +1,5 @@
-// Streaming and batch statistics used across the simulator and the
-// benchmark harness: Welford running moments, reservoir-free percentile
-// computation over collected samples, and simple summary containers.
+// Batch statistics used across the simulator and the benchmark harness:
+// percentile selection over collected samples and the sample container.
 #pragma once
 
 #include <cstddef>
@@ -10,31 +9,6 @@
 #include <vector>
 
 namespace ssdk {
-
-/// Numerically stable running mean/variance (Welford). Value type; merging
-/// two accumulators is supported so per-thread stats can be combined.
-class RunningStats {
- public:
-  void add(double x);
-
-  /// Merge another accumulator into this one (parallel reduction step).
-  void merge(const RunningStats& other);
-
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;  ///< Population variance; 0 if n < 2.
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double sum() const { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Linear-interpolated percentile, p in [0, 100], of a non-empty sample
 /// list, selected in place: `values` is reordered. `max` must be the

@@ -26,6 +26,26 @@ TEST(StaticPlace, StripesChannelsFirst) {
   EXPECT_EQ(static_place(g, channels, 8).plane, 1u);
 }
 
+TEST(StaticPlace, StripesEverySetSize) {
+  // On 8 channels the strategy space yields channel sets of every size
+  // from 1 to 8; the power-of-two sizes take the shift/mask path and the
+  // others the divide path, and both must stripe channel, then chip, then
+  // plane.
+  for (std::uint32_t n = 1; n <= g.channels; ++n) {
+    std::vector<std::uint32_t> channels;
+    for (std::uint32_t c = 0; c < n; ++c) channels.push_back(g.channels - 1 - c);
+    const std::uint64_t round = std::uint64_t{n} * g.planes_per_channel();
+    for (std::uint64_t lpn = 0; lpn < 3 * round; ++lpn) {
+      const PlaneTarget t = static_place(g, channels, lpn);
+      EXPECT_EQ(t.channel, channels[lpn % n]) << n << " channels, lpn " << lpn;
+      EXPECT_EQ(t.chip, lpn / n % g.chips_per_channel)
+          << n << " channels, lpn " << lpn;
+      EXPECT_EQ(t.plane, lpn / (n * g.chips_per_channel) % g.planes_per_chip)
+          << n << " channels, lpn " << lpn;
+    }
+  }
+}
+
 TEST(StaticPlace, RespectsRestrictedChannelSet) {
   const std::vector<std::uint32_t> channels{5, 7};
   for (std::uint64_t lpn = 0; lpn < 100; ++lpn) {

@@ -59,12 +59,5 @@ TEST(Metrics, CompletionLatencyHelper) {
   EXPECT_EQ(c.latency(), 5000u);
 }
 
-TEST(Metrics, ReportMentionsTenants) {
-  MetricsCollector m;
-  m.record(make_completion(2, OpType::kWrite, kMillisecond));
-  const std::string r = m.report();
-  EXPECT_NE(r.find("tenant 2"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace ssdk::sim

@@ -14,8 +14,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -284,24 +287,24 @@ void write_u32_at(std::vector<char>& buf, std::size_t pos, std::uint32_t v) {
   std::memcpy(buf.data() + pos, &v, sizeof(v));
 }
 
-/// Byte offsets of the v4 BLKM fields in a device payload (layout in
+/// Byte offsets of the v8 BLKM fields in a device payload (layout in
 /// src/ftl/block_manager.cpp, above save_state).
 struct BlkmLayout {
   struct Record {
-    std::size_t at;  ///< u32 write_ptr, u32 valid, u64 erases, u8 state...
+    std::size_t at;  ///< u32 write_ptr, u64 erases, u8 state at +12, ...
     std::uint32_t write_ptr;
-    std::uint32_t valid;
+    std::uint32_t valid;  ///< set validity bits
     std::uint8_t state;
+    std::size_t state_at() const { return at + 12; }
+    std::size_t words_at() const { return at + 15; }
   };
   struct Plane {
     std::size_t cursor_at;
     std::vector<Record> records;
-    std::size_t open_at;
-    std::size_t list_at;  ///< u64 length, then u32 ids
-    std::uint64_t list_len;
   };
-  std::size_t retired_at = 0;
+  std::size_t planes_at = 0;  ///< u64 plane count
   std::vector<Plane> planes;
+  std::size_t end = 0;  ///< the first byte past the section
 };
 
 BlkmLayout parse_blkm(const std::vector<char>& payload,
@@ -310,27 +313,27 @@ BlkmLayout parse_blkm(const std::vector<char>& payload,
   BlkmLayout layout;
   std::size_t pos = 0;
   while (std::memcmp(payload.data() + pos, "BLKM", 4) != 0) ++pos;
-  layout.retired_at = pos + 4;
-  const std::uint64_t nplanes = read_u64_at(payload, pos + 12);
-  pos += 20;
+  layout.planes_at = pos + 4;
+  const std::uint64_t nplanes = read_u64_at(payload, layout.planes_at);
+  pos += 12;
   for (std::uint64_t p = 0; p < nplanes; ++p) {
     BlkmLayout::Plane plane;
     plane.cursor_at = pos;
     const std::uint64_t cursor = read_u64_at(payload, pos);
     pos += 8;
     for (std::uint64_t b = 0; b < cursor; ++b) {
-      BlkmLayout::Record rec{pos, read_u32_at(payload, pos),
-                             read_u32_at(payload, pos + 4),
-                             static_cast<std::uint8_t>(payload[pos + 16])};
+      BlkmLayout::Record rec{pos, read_u32_at(payload, pos), 0,
+                             static_cast<std::uint8_t>(payload[pos + 12])};
+      for (std::size_t w = 0; w < words; ++w) {
+        rec.valid += static_cast<std::uint32_t>(
+            std::popcount(read_u64_at(payload, rec.words_at() + 8 * w)));
+      }
       plane.records.push_back(rec);
-      pos += 19 + 8 * words + std::size_t{8} * rec.valid;
+      pos += 15 + 8 * words + std::size_t{8} * rec.valid;
     }
-    plane.open_at = pos;
-    plane.list_at = pos + 8;
-    plane.list_len = read_u64_at(payload, plane.list_at);
-    pos = plane.list_at + 8 + 4 * plane.list_len;
     layout.planes.push_back(std::move(plane));
   }
+  layout.end = pos;
   return layout;
 }
 
@@ -372,7 +375,9 @@ void expect_rejected(std::vector<char> payload, Patch&& patch,
 // Regression: the BLKM loader used to cast the state byte and accept any
 // open block, write pointer or free-list id; a re-sealed payload with
 // plane 0's open block at 2^20 loaded, and the next write to that plane
-// indexed out of bounds. Every field is now checked before use.
+// indexed out of bounds. Format v8 writes no open block, valid count, free
+// list or retired count: the loader derives them from the records, whose
+// every field is checked before use.
 TEST(DeviceSnapshot, RejectsResealedBlkmMutations) {
   const auto requests = pipeline_workload();
   const core::RunConfig config;
@@ -385,43 +390,35 @@ TEST(DeviceSnapshot, RejectsResealedBlkmMutations) {
   ASSERT_FALSE(plane0.records.empty());
   const BlkmLayout::Record& first = plane0.records.front();
 
-  const auto mutated = [&](auto&& patch, const char* expected) {
-    expect_rejected(payload, patch, expected);
-  };
-  mutated([&](auto& b) { write_u64_at(b, plane0.open_at, 1u << 20); },
-          "open block");
-  mutated([&](auto& b) { b[first.at + 16] = 7; }, "invalid state");
-  mutated([&](auto& b) { write_u32_at(b, first.at, ppb + 1); },
-          "exceeds pages_per_block");
-  mutated([&](auto& b) { write_u32_at(b, first.at + 4, first.write_ptr + 1); },
-          "valid pages but wrote");
-  mutated(
+  expect_rejected(
+      payload,
       [&](auto& b) {
-        ASSERT_GT(first.valid, 0u);
-        write_u32_at(b, first.at + 4, first.valid - 1);
+        write_u64_at(b, layout.planes_at, layout.planes.size() + 1);
       },
-      "set validity bits");
-  mutated(
+      "plane count mismatch", layout.planes_at);
+  expect_rejected(
+      payload,
       [&](auto& b) {
         write_u64_at(b, plane0.cursor_at,
                      config.ssd.geometry.blocks_per_plane + 1);
       },
-      "exceeds blocks_per_plane");
-  mutated(
-      [&](auto& b) {
-        write_u64_at(b, layout.retired_at,
-                     read_u64_at(payload, layout.retired_at) + 1);
-      },
-      "retired count");
-  mutated(
+      "exceeds blocks_per_plane", plane0.cursor_at);
+  expect_rejected(
+      payload, [&](auto& b) { b[first.state_at()] = 7; }, "invalid state",
+      first.state_at());
+  expect_rejected(
+      payload, [&](auto& b) { write_u32_at(b, first.at, ppb + 1); },
+      "exceeds pages_per_block", first.at);
+  expect_rejected(
+      payload,
       [&](auto& b) {
         ASSERT_GT(first.write_ptr, 0u);
-        b[first.at + 16] = 0;  // Free, yet written
+        b[first.state_at()] = 0;  // Free, yet written
       },
-      "disagrees with write pointer");
+      "disagrees with write pointer", first.state_at());
 
   // An owner on an unprogrammed page: move one valid bit of an open block
-  // to the page at its write pointer (counts unchanged).
+  // to the page at its write pointer (the owner count is unchanged).
   const BlkmLayout::Record* open = nullptr;
   for (const auto& plane : layout.planes) {
     for (const auto& rec : plane.records) {
@@ -429,48 +426,81 @@ TEST(DeviceSnapshot, RejectsResealedBlkmMutations) {
     }
   }
   ASSERT_NE(open, nullptr) << "no open block with a valid page";
-  mutated(
+  ASSERT_LT(open->write_ptr, 64u);
+  expect_rejected(
+      payload,
       [&](auto& b) {
-        std::uint64_t word = read_u64_at(b, open->at + 19);
+        std::uint64_t word = read_u64_at(b, open->words_at());
         ASSERT_NE(word, 0u);
         word &= word - 1;  // drop the lowest valid page
         word |= std::uint64_t{1} << open->write_ptr;
-        write_u64_at(b, open->at + 19, word);
+        write_u64_at(b, open->words_at(), word);
       },
-      "at or above its write pointer");
+      "at or above its write pointer", open->words_at());
 
-  // Free-list ids: GC churn on a small device leaves erased blocks on the
-  // free lists, which a label-sweep prefix never has.
+  // A second Open block in a plane: GC churn on a small device leaves
+  // erased (Free) records beside each plane's open block, which a
+  // label-sweep prefix never has. Reopening a Free record is refused at
+  // the state byte of whichever of the two comes second.
   const testing::GoldenRecipe recipe = testing::golden_gc_churn();
   const auto churned = device_at(recipe.requests, recipe.tenants,
                                  recipe.config, recipe.requests.size() / 2);
   const std::vector<char> churned_payload = payload_of(*churned);
   const BlkmLayout churned_layout = parse_blkm(
       churned_payload, recipe.config.ssd.geometry.pages_per_block);
-  const BlkmLayout::Plane* plane = nullptr;
-  for (const auto& p : churned_layout.planes) {
-    if (p.list_len >= 2) plane = &p;
+  const BlkmLayout::Record* free_rec = nullptr;
+  const BlkmLayout::Record* open_rec = nullptr;
+  for (const auto& plane : churned_layout.planes) {
+    const BlkmLayout::Record* f = nullptr;
+    const BlkmLayout::Record* o = nullptr;
+    for (const auto& rec : plane.records) {
+      if (rec.state == 0 && f == nullptr) f = &rec;
+      if (rec.state == 1) o = &rec;
+    }
+    if (f != nullptr && o != nullptr) {
+      free_rec = f;
+      open_rec = o;
+    }
   }
-  ASSERT_NE(plane, nullptr) << "no plane with two erased blocks";
-  const std::size_t ids = plane->list_at + 8;
-  const auto cursor = static_cast<std::uint32_t>(plane->records.size());
+  ASSERT_NE(free_rec, nullptr) << "no plane holds a Free and an Open block";
   expect_rejected(
-      churned_payload, [&](auto& b) { write_u32_at(b, ids, cursor); },
-      "at or above the cursor");
-  expect_rejected(
-      churned_payload,
-      [&](auto& b) { write_u32_at(b, ids + 4, read_u32_at(b, ids)); },
-      "repeats block");
-  std::uint32_t busy = 0;
-  while (plane->records.at(busy).state == 0) ++busy;
-  expect_rejected(
-      churned_payload, [&](auto& b) { write_u32_at(b, ids, busy); },
-      "not Free");
+      churned_payload, [&](auto& b) { b[free_rec->state_at()] = 1; },
+      "second Open block",
+      std::max(free_rec->state_at(), open_rec->state_at()));
+}
+
+// After a load, each plane's open block, free list and every block's
+// valid count are derived from the records: they must answer every
+// query the saved device answered.
+TEST(DeviceSnapshot, LoadDerivesOpenBlocksFreeListsAndValidCounts) {
+  const testing::GoldenRecipe recipe = testing::golden_gc_churn();
+  const auto device = device_at(recipe.requests, recipe.tenants,
+                                recipe.config, recipe.requests.size() / 2);
+  const auto restored = snapshot::load_device(snapshot::save_device(*device));
+  const ftl::BlockManager& saved = device->ftl().blocks();
+  const ftl::BlockManager& loaded = restored->ftl().blocks();
+  const sim::Geometry& g = recipe.config.ssd.geometry;
+  std::uint64_t erased_free = 0;
+  for (std::uint64_t plane = 0; plane < g.total_planes(); ++plane) {
+    EXPECT_EQ(loaded.free_blocks(plane), saved.free_blocks(plane));
+    EXPECT_EQ(loaded.free_pages(plane), saved.free_pages(plane));
+    EXPECT_EQ(loaded.select_victim(plane), saved.select_victim(plane));
+    for (std::uint32_t b = 0; b < g.blocks_per_plane; ++b) {
+      EXPECT_EQ(loaded.valid_count(plane, b), saved.valid_count(plane, b));
+      if (saved.block_state(plane, b) == ftl::BlockState::kFree &&
+          saved.erase_count(plane, b) > 0) {
+        ++erased_free;
+      }
+    }
+  }
+  EXPECT_GT(erased_free, 0u) << "no erased block on a free list";
+  EXPECT_EQ(loaded.retired_blocks(), saved.retired_blocks());
+  EXPECT_NO_THROW(loaded.check_invariants());
 }
 
 // --- FTL_: L2P tables and tenant policies -----------------------------------
 
-/// Byte offsets of the v5 FTL_ fields on either side of BLKM: the L2P
+/// Byte offsets of the v8 FTL_ fields on either side of BLKM: the L2P
 /// tables before it and the tenant policies after it (layouts in
 /// src/ftl/mapping.cpp, above save_state, and Ftl::save_state).
 struct FtlLayout {
@@ -478,15 +508,16 @@ struct FtlLayout {
     std::size_t span_at;  ///< u64 span, then span u32 entries
     std::uint64_t span;
     std::size_t entries_at;
-    std::size_t count_at;  ///< u64 mapped count
   };
   struct Policy {
     std::size_t ids_at;  ///< first u32 channel id
     std::uint64_t ids;
     std::size_t mode_at;  ///< u8 alloc mode, then u64 rr counter
   };
+  std::size_t tenants_at = 0;  ///< u64 table count
   std::vector<Table> tables;
   std::vector<Policy> policies;
+  std::size_t oob_at = 0;  ///< the OOB_ tag that follows the policies
 };
 
 FtlLayout parse_ftl(const std::vector<char>& payload,
@@ -494,17 +525,15 @@ FtlLayout parse_ftl(const std::vector<char>& payload,
   FtlLayout layout;
   std::size_t pos = 0;
   while (std::memcmp(payload.data() + pos, "FTL_L2PM", 8) != 0) ++pos;
-  const std::uint64_t tenants = read_u64_at(payload, pos + 8);
+  layout.tenants_at = pos + 8;
+  const std::uint64_t tenants = read_u64_at(payload, layout.tenants_at);
   pos += 16;
   for (std::uint64_t t = 0; t < tenants; ++t) {
-    FtlLayout::Table table{pos, read_u64_at(payload, pos), pos + 8, 0};
-    table.count_at = table.entries_at + 4 * table.span;
+    const FtlLayout::Table table{pos, read_u64_at(payload, pos), pos + 8};
     layout.tables.push_back(table);
-    pos = table.count_at + 8;
+    pos = table.entries_at + 4 * table.span;
   }
-  const BlkmLayout blkm = parse_blkm(payload, pages_per_block);
-  const BlkmLayout::Plane& last = blkm.planes.back();
-  pos = last.list_at + 8 + 4 * last.list_len;
+  pos = parse_blkm(payload, pages_per_block).end;
   const std::uint64_t policies = read_u64_at(payload, pos);
   pos += 8;
   for (std::uint64_t t = 0; t < policies; ++t) {
@@ -513,14 +542,15 @@ FtlLayout parse_ftl(const std::vector<char>& payload,
     layout.policies.push_back(policy);
     pos = policy.mode_at + 1 + 8;
   }
+  layout.oob_at = pos;
   return layout;
 }
 
-// Regression: the FTL_ loader took L2P entries, spans, mapped counts,
-// policy channel ids and mode bytes as given. Release loads never audit,
-// so each mutation below loaded, and the device later indexed out of
-// bounds, trusted a wrong count or dispatched on an invalid mode. Every
-// field is now checked before use, and the error names its byte offset.
+// Regression: the FTL_ loader took L2P entries, spans, policy channel ids
+// and mode bytes as given. Release loads never audit, so each mutation
+// below loaded, and the device later indexed out of bounds or dispatched
+// on an invalid mode. Every field is now checked before use, and the
+// error names its byte offset.
 TEST(DeviceSnapshot, RejectsResealedFtlMutations) {
   const auto requests = pipeline_workload();
   const core::RunConfig config;
@@ -539,7 +569,11 @@ TEST(DeviceSnapshot, RejectsResealedFtlMutations) {
   }
   ASSERT_NE(mapped_at, 0u) << "tenant 0 has no mapped page";
 
-  // A mapped entry moved past the last page (the count stays right).
+  // More tables than the dense-id bound.
+  expect_rejected(
+      payload, [&](auto& b) { write_u64_at(b, layout.tenants_at, 1025); },
+      "exceeds limit", layout.tenants_at);
+  // A mapped entry moved past the last page.
   expect_rejected(
       payload,
       [&](auto& b) {
@@ -553,16 +587,11 @@ TEST(DeviceSnapshot, RejectsResealedFtlMutations) {
       [&](auto& b) {
         write_u64_at(b, table.span_at, table.span + 1);
         const char unmapped[4] = {'\xFF', '\xFF', '\xFF', '\xFF'};
-        b.insert(b.begin() + static_cast<std::ptrdiff_t>(table.count_at),
-                 unmapped, unmapped + 4);
+        const std::size_t end = table.entries_at + 4 * table.span;
+        b.insert(b.begin() + static_cast<std::ptrdiff_t>(end), unmapped,
+                 unmapped + 4);
       },
       "not a whole number", table.span_at);
-  expect_rejected(
-      payload,
-      [&](auto& b) {
-        write_u64_at(b, table.count_at, read_u64_at(b, table.count_at) + 1);
-      },
-      "mapped count", table.count_at);
 
   ASSERT_FALSE(layout.policies.empty());
   const FtlLayout::Policy& policy = layout.policies.front();
@@ -581,6 +610,75 @@ TEST(DeviceSnapshot, RejectsResealedFtlMutations) {
   expect_rejected(
       payload, [&](auto& b) { b[policy.mode_at] = 2; }, "alloc mode",
       policy.mode_at);
+}
+
+// Regression: the OOB_ loader cast each state byte unchecked and took
+// owners, seqs and unknown-block flags as given, and Release loads never
+// audit. Each mutation below loaded: a state byte of 7 read back as 7, and
+// an erased page re-marked as data with no owner made the next recovery
+// scan throw std::invalid_argument on tenant id 2^24 - 1. The loader now
+// enforces the rules of OobStore::check_invariants, each at its field's
+// offset.
+TEST(DeviceSnapshot, RejectsResealedOobMutations) {
+  ssd::SsdOptions powered;
+  powered.geometry = sim::Geometry::tiny();
+  powered.power.enabled = true;
+  std::vector<sim::IoRequest> writes;
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    sim::IoRequest r;
+    r.id = i;
+    r.type = sim::OpType::kWrite;
+    r.lpn = i % 24;
+    r.arrival = 100 * kMicrosecond * i;
+    writes.push_back(r);
+  }
+  ssd::Ssd device(powered);
+  device.submit(writes);
+  device.run_until_arrival(32);
+  const std::vector<char> payload = payload_of(device);
+  ASSERT_NO_THROW(snapshot::load_device(snapshot::save_device(device)));
+
+  const ftl::OobStore& oob = device.ftl().oob();
+  const std::uint64_t pages = powered.geometry.total_pages();
+  sim::Ppn data = sim::kInvalidPpn, erased = sim::kInvalidPpn;
+  for (sim::Ppn p = 0; p < pages; ++p) {
+    if (oob.state(p) == ftl::OobState::kData && data == sim::kInvalidPpn) {
+      data = p;
+    }
+    if (oob.state(p) == ftl::OobState::kErased && erased == sim::kInvalidPpn) {
+      erased = p;
+    }
+  }
+  ASSERT_NE(data, sim::kInvalidPpn) << "no programmed page";
+  ASSERT_NE(erased, sim::kInvalidPpn) << "no erased page";
+  // OOB_: tag, bool enabled, u64 next seq, then the owner and seq arrays
+  // (u64 length, u64 per page), the state bytes (u64 length, u8 per page)
+  // and the unknown-block flags (u64 length, u8 per block).
+  const std::size_t at =
+      parse_ftl(payload, powered.geometry.pages_per_block).oob_at;
+  ASSERT_EQ(read_u64_at(payload, at + 5), oob.next_seq());
+  const std::size_t owners = at + 5 + 8 + 8;
+  const std::size_t seqs = owners + 8 * pages + 8;
+  const std::size_t states = seqs + 8 * pages + 8;
+  const std::size_t flags = states + pages + 8;
+
+  expect_rejected(
+      payload, [&](auto& b) { b[states] = 7; }, "invalid state 7", states);
+  expect_rejected(
+      payload, [&](auto& b) { b[states + erased] = 1; },
+      "holds data but no owner", owners + 8 * erased);
+  expect_rejected(
+      payload, [&](auto& b) { write_u64_at(b, owners + 8 * erased, 0); },
+      "has an owner but no data", owners + 8 * erased);
+  expect_rejected(
+      payload,
+      [&](auto& b) { write_u64_at(b, seqs + 8 * data, oob.next_seq()); },
+      "outside (0, ", seqs + 8 * data);
+  expect_rejected(
+      payload, [&](auto& b) { write_u64_at(b, seqs + 8 * erased, 5); },
+      "but no data", seqs + 8 * erased);
+  expect_rejected(
+      payload, [&](auto& b) { b[flags] = 2; }, "not 0 or 1", flags);
 }
 
 // --- device sections: CHNL, UNIT, REQS, OPSL, GCJB, PWRS --------------------
@@ -1094,6 +1192,25 @@ TEST(DeviceSnapshot, RejectsResealedEventAndOptionMutations) {
     expect_rejected(
         payload, [&](auto& b) { write_u32_at(b, 4, 0); },
         "OPTS section at offset 0 holds invalid device options", 0);
+    // The timing's transfer rate (f64 at +52) and the high watermark (f64
+    // at +112) are cast to integers when the device is built; a NaN is
+    // refused before that.
+    const auto f64_at = [&](std::size_t at) {
+      double v = 0;
+      std::memcpy(&v, payload.data() + at, sizeof(v));
+      return v;
+    };
+    ASSERT_EQ(f64_at(52), device->options().timing.xfer_ns_per_byte);
+    ASSERT_EQ(f64_at(112), device->options().write_buffer.high_watermark);
+    for (const std::size_t at : {std::size_t{52}, std::size_t{112}}) {
+      expect_rejected(
+          payload,
+          [&](auto& b) {
+            const double nan = std::numeric_limits<double>::quiet_NaN();
+            std::memcpy(b.data() + at, &nan, sizeof(nan));
+          },
+          "OPTS section at offset 0 holds invalid device options", 0);
+    }
   }
   for (const auto kind :
        {sim::EventKind::kFlashDone, sim::EventKind::kBusFree,
@@ -1116,7 +1233,7 @@ TEST(DeviceSnapshot, L2pmStoresFourBytesPerEntry) {
   for (sim::TenantId t = 0; t < map.tenant_table_count(); ++t) {
     const std::uint64_t span = map.table_span(t);
     EXPECT_EQ(span % ftl::MappingTable::kSpanStep, 0u);
-    expected += 8 + 4 * span + 8;  // span, entries, mapped count
+    expected += 8 + 4 * span;  // span, entries
     entries += span;
   }
   EXPECT_GT(entries, 0u);
@@ -1130,10 +1247,11 @@ TEST(DeviceSnapshot, L2pmStoresFourBytesPerEntry) {
 TEST(DeviceSnapshot, RefusesVersion4Container) {
   const ssd::Ssd device{ssd::SsdOptions{}};
   const std::vector<char> saved = snapshot::save_device(device);
-  ASSERT_EQ(read_u32_at(saved, 8), 7u);  // version follows the magic
+  ASSERT_EQ(read_u32_at(saved, 8), 8u);  // version follows the magic
   // Version 5 carried the per-policy SCHD layouts, version 6 every op slot
-  // with its address written twice.
-  for (const std::uint32_t version : {4u, 5u, 6u}) {
+  // with its address written twice, version 7 the FTL's derived counts
+  // and lists.
+  for (const std::uint32_t version : {4u, 5u, 6u, 7u}) {
     std::vector<char> bytes = saved;
     write_u32_at(bytes, 8, version);
     try {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+
 namespace ssdk::ssd {
 namespace {
 
@@ -107,6 +110,54 @@ TEST(SsdBasic, RejectsDecreasingArrivals) {
   ssd.submit(make_req(0, 0, sim::OpType::kRead, 0, 1, 100));
   EXPECT_THROW(ssd.submit(make_req(1, 0, sim::OpType::kRead, 0, 1, 50)),
                std::invalid_argument);
+}
+
+TEST(SsdBasic, RejectsInvalidTimingAndWriteBuffer) {
+  // Each floating-point field below is cast to an integer (the page
+  // transfer time, the flush thresholds), so the device refuses any value
+  // that cast could not hold before it computes either.
+  using Break = void (*)(SsdOptions&);
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::pair<const char*, Break> cases[] = {
+      {"xfer_ns_per_byte NaN",
+       [](SsdOptions& o) { o.timing.xfer_ns_per_byte = kNan; }},
+      {"xfer_ns_per_byte < 0",
+       [](SsdOptions& o) { o.timing.xfer_ns_per_byte = -0.5; }},
+      {"xfer_ns_per_byte infinite",
+       [](SsdOptions& o) { o.timing.xfer_ns_per_byte = kInf; }},
+      {"page transfer past 2^64 ns",
+       [](SsdOptions& o) { o.timing.xfer_ns_per_byte = 1e16; }},
+      {"command overhead pushes the transfer past 2^64 ns",
+       [](SsdOptions& o) {
+         o.timing.cmd_overhead_ns = std::numeric_limits<Duration>::max();
+       }},
+      {"high_watermark NaN",
+       [](SsdOptions& o) { o.write_buffer.high_watermark = kNan; }},
+      {"high_watermark < 0",
+       [](SsdOptions& o) { o.write_buffer.high_watermark = -0.1; }},
+      {"low_watermark infinite",
+       [](SsdOptions& o) { o.write_buffer.low_watermark = kInf; }},
+      {"low_watermark x capacity past 2^64",
+       [](SsdOptions& o) {
+         o.write_buffer.capacity_pages = 64;
+         o.write_buffer.low_watermark = 1e18;
+       }},
+  };
+  for (const auto& [name, breaks] : cases) {
+    SsdOptions options;
+    breaks(options);
+    EXPECT_THROW(Ssd{options}, std::invalid_argument) << name;
+  }
+
+  // The boundaries are legal: a free bus, zero watermarks, and a high
+  // watermark above 1, which disables automatic flushing.
+  SsdOptions edge;
+  edge.timing.xfer_ns_per_byte = 0.0;
+  edge.write_buffer.capacity_pages = 64;
+  edge.write_buffer.high_watermark = 2.0;
+  edge.write_buffer.low_watermark = 0.0;
+  EXPECT_NO_THROW(Ssd{edge});
 }
 
 TEST(SsdBasic, ClockAdvancesToCompletion) {

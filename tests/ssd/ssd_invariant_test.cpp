@@ -226,44 +226,11 @@ TEST(SsdInvariants, DetectsOrphanValidPage) {
   EXPECT_THROW(device->check_invariants(), util::InvariantViolation);
 }
 
-TEST(SsdInvariants, DetectsMappedCountDrift) {
-  auto device = busy_device();
-  // update() and erase() keep the cached mapped count honest, so it can
-  // only drift through serialized state: patch the count in a snapshot
-  // payload. The L2PM loader recounts each table and refuses the drift
-  // with a SnapshotError naming the count's offset, before any audit.
-  snapshot::StateWriter w;
-  device->save_state(w);
-  std::vector<char> bytes = w.take();
-  const std::size_t l2pm = find_tag(bytes, "L2PM");
-  // v5 layout: tag, u64 tenant_count, then per tenant: u64 span, span
-  // u32 entries, u64 mapped_count.
-  const std::size_t table_size_pos = l2pm + 4 + 8;
-  const std::uint64_t entries = read_u64(bytes, table_size_pos);
-  ASSERT_GT(entries, 0u);
-  const std::size_t count_pos = table_size_pos + 8 + entries * 4;
-  const std::uint64_t count = read_u64(bytes, count_pos);
-  ASSERT_GT(count, 0u);
-  ASSERT_LE(count, entries);
-  write_u64(bytes, count_pos, count + 3);
-
-  Ssd reloaded(tiny_options());
-  snapshot::StateReader r(bytes);
-  try {
-    reloaded.load_state(r);
-    FAIL() << "mapped-count drift was not detected";
-  } catch (const snapshot::SnapshotError& e) {
-    EXPECT_NE(std::string(e.what()).find("mapped count"), std::string::npos)
-        << e.what();
-    EXPECT_EQ(e.offset(), count_pos);
-  }
-}
-
-// --- block manager ------------------------------------------------------------
+// --- event queue --------------------------------------------------------------
 //
-// The BLKM loader validates every field, so block-level corruption is
-// refused at load time with a SnapshotError instead of surfacing in the
-// audit afterwards.
+// The EVTQ loader checks every event's time, seq and kind, and its a/b
+// payload once OPSL is loaded, so these corruptions are refused at load
+// time with a SnapshotError instead of surfacing in the audit afterwards.
 
 /// Serialize `device`, let `corrupt` patch the raw payload, and require
 /// that loading it into a fresh device fails with a SnapshotError.
@@ -279,66 +246,6 @@ void expect_load_rejected(
   snapshot::StateReader r(bytes);
   EXPECT_THROW(reloaded.load_state(r), snapshot::SnapshotError) << label;
 }
-
-/// Offset of plane 0's free list (its u64 length) in a tiny-geometry BLKM
-/// section: tag, u64 retired, u64 plane count, u64 cursor, then per block
-/// a 19-byte record, one validity word and one u64 owner per valid page,
-/// then the i64 open block.
-std::size_t plane0_free_list(const std::vector<char>& bytes) {
-  std::size_t pos = find_tag(bytes, "BLKM") + 4 + 8 + 8;
-  const std::uint64_t cursor = read_u64(bytes, pos);
-  pos += 8;
-  for (std::uint64_t b = 0; b < cursor; ++b) {
-    std::uint32_t valid = 0;
-    std::memcpy(&valid, bytes.data() + pos + 4, 4);
-    pos += 19 + 8 + std::size_t{8} * valid;
-  }
-  return pos + 8;
-}
-
-TEST(SsdInvariants, DetectsValidCounterCorruption) {
-  auto device = busy_device();
-  expect_load_rejected(
-      *device,
-      [](std::vector<char>& bytes) {
-        // Plane 0's first block record follows the tag, the retired and
-        // plane counts and the plane's cursor: u32 write_ptr, u32 valid.
-        const std::size_t blkm = find_tag(bytes, "BLKM");
-        const std::size_t valid_pos = blkm + 4 + 8 + 8 + 8 + 4;
-        write_u32(bytes, valid_pos, 7'777);
-      },
-      "block valid counter");
-}
-
-TEST(SsdInvariants, DetectsFreeListDuplicate) {
-  // Overwrites cycle blocks through GC, so plane 0's free list holds
-  // erased blocks. Duplicate its first entry into its second slot.
-  auto device = std::make_unique<Ssd>(tiny_options());
-  std::vector<sim::IoRequest> reqs;
-  for (std::uint64_t i = 0; i < 600; ++i) {
-    reqs.push_back(
-        make_req(i, 0, sim::OpType::kWrite, i % 24, 1, 2'000'000 * i));
-  }
-  device->submit(reqs);
-  device->run_to_completion();
-  expect_load_rejected(
-      *device,
-      [](std::vector<char>& bytes) {
-        const std::size_t list_size_pos = plane0_free_list(bytes);
-        const std::uint64_t list_len = read_u64(bytes, list_size_pos);
-        ASSERT_GE(list_len, 2u) << "need two free blocks to duplicate";
-        std::uint32_t first = 0;
-        std::memcpy(&first, bytes.data() + list_size_pos + 8, 4);
-        write_u32(bytes, list_size_pos + 8 + 4, first);
-      },
-      "free-list duplicate");
-}
-
-// --- event queue --------------------------------------------------------------
-//
-// The EVTQ loader checks every event's time, seq and kind, and its a/b
-// payload once OPSL is loaded, so these corruptions are refused at load
-// time with a SnapshotError instead of surfacing in the audit afterwards.
 
 TEST(SsdInvariants, DetectsEventBeforeNow) {
   auto device = busy_device();
@@ -494,16 +401,26 @@ TEST(SsdInvariants, DetectsOobSeqCorruption) {
   const sim::Ppn target = first_data_page(*device);
   ASSERT_NE(target, sim::kInvalidPpn) << "no programmed page to corrupt";
   const std::uint64_t npages = device->ftl().geometry().total_pages();
-  expect_corruption_detected(
-      *device,
-      [target, npages](std::vector<char>& bytes) {
-        // The seq array follows the owner array; zero the target's write
-        // seq. A data page must carry a seq in (0, next_seq).
-        const std::size_t oob = find_tag(bytes, "OOB_");
-        const std::size_t seq_pos = oob + 29 + npages * 8 + target * 8;
-        write_u64(bytes, seq_pos, 0);
-      },
-      "OOB seq array", powered_options());
+  // The seq array follows the owner array; zero the target's write seq. A
+  // data page must carry a seq in (0, next_seq): the OOB_ loader refuses
+  // it with a SnapshotError naming its offset, before any audit.
+  snapshot::StateWriter w;
+  device->save_state(w);
+  std::vector<char> bytes = w.take();
+  const std::size_t seq_pos = find_tag(bytes, "OOB_") + 29 + npages * 8 +
+                              target * 8;
+  write_u64(bytes, seq_pos, 0);
+
+  Ssd reloaded(powered_options());
+  snapshot::StateReader r(bytes);
+  try {
+    reloaded.load_state(r);
+    FAIL() << "OOB seq corruption was not detected";
+  } catch (const snapshot::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("carries seq 0"), std::string::npos)
+        << e.what();
+    EXPECT_EQ(e.offset(), seq_pos);
+  }
 }
 
 TEST(SsdInvariants, DetectsVolatilePageOverCount) {
